@@ -122,6 +122,8 @@ struct Slot {
     /// alignment for. Barriers at or below it are duplicates from an
     /// aborted attempt and are dropped instead of restarting alignment.
     last_align: u64,
+    /// Operator invocations so far; drives cost sampling.
+    invocations: u64,
 }
 
 /// Alignment state of one slot between its first and last barrier for a
@@ -187,12 +189,21 @@ pub enum RunOutcome {
     Budget,
 }
 
+/// The cost model times one operator invocation in this many per slot,
+/// starting with the first: two clock reads cost about as much as a cheap
+/// operator, and `c(v)` is a smoothed mean that sampling does not bias.
+const COST_SAMPLE_EVERY: u64 = 16;
+
 /// Executor configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Messages popped per strategy decision.
     pub batch: usize,
     /// Whether to time operator invocations for the runtime cost model.
+    /// Only one invocation in 16 per operator is timed, starting with the
+    /// first; the processed count, selectivity and arrival statistics
+    /// still see every invocation, and an attached latency histogram
+    /// still times every one.
     pub measure: bool,
 }
 
@@ -276,6 +287,7 @@ impl DomainExecutor {
                 chaos: s.chaos,
                 align: None,
                 last_align: 0,
+                invocations: 0,
             })
             .collect();
         for (i, s) in slots.iter().enumerate() {
@@ -529,8 +541,11 @@ impl DomainExecutor {
                 Some(FaultAction::Corrupt) => corrupt = true,
             }
         }
+        let slot = &mut self.slots[i];
+        let sampled = slot.invocations % COST_SAMPLE_EVERY == 0;
+        slot.invocations += 1;
         let measure =
-            (self.cfg.measure && self.slots[i].stats.is_some()) || self.slots[i].latency.is_some();
+            (self.cfg.measure && sampled && slot.stats.is_some()) || slot.latency.is_some();
         // One non-zero branch for unsampled tuples; span recording (and
         // its site clone) happens only for the sampled 1-in-N.
         let tag = el.trace;
@@ -1035,6 +1050,7 @@ mod tests {
     use hmts_streams::tuple::Tuple;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn data(v: i64, us: u64) -> Message {
         Message::data(Tuple::single(v), Timestamp::from_micros(us))
@@ -1524,5 +1540,54 @@ mod tests {
         assert_eq!(s.processed, 10);
         assert_eq!(s.selectivity.selectivity(), Some(0.5));
         assert!(s.cost.cost().is_some());
+    }
+
+    /// Runs 1000 elements through a 20 µs busy filter passing half of them.
+    fn run_costed_filter(latency: Option<Histogram>) -> SharedNodeStats {
+        use hmts_operators::cost::{CostMode, Costed};
+        let stats = crate::stats::shared_node_stats();
+        let filter = Filter::new("f", Expr::field(0).lt(Expr::int(500)));
+        let op = Costed::new(filter, CostMode::Busy(Duration::from_micros(20)));
+        let mut init = slot(1, Box::new(op), vec![]);
+        init.stats = Some(Arc::clone(&stats));
+        init.latency = latency;
+        let mut exec = DomainExecutor::new(
+            "d",
+            vec![init],
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        for i in 0..1000 {
+            exec.inject(NodeId(1), 0, data(i, i as u64 * 1000));
+        }
+        stats
+    }
+
+    #[test]
+    fn sampled_cost_timing_keeps_counts_exact() {
+        // A clock read preempted by another test thread inflates one
+        // sample, so the upper cost bound gets a few tries; a bias from
+        // sampling would fail every try.
+        let mut costs = Vec::new();
+        for _ in 0..5 {
+            let stats = run_costed_filter(None);
+            let s = stats.lock();
+            assert_eq!(s.processed, 1000);
+            assert_eq!(s.selectivity.selectivity(), Some(0.5));
+            assert_eq!(s.cost.samples(), 1000 / COST_SAMPLE_EVERY + 1);
+            let cost = s.cost.cost().expect("invocation 0 is timed");
+            assert!(cost >= Duration::from_micros(10), "cost {cost:?}");
+            costs.push(cost);
+            if cost <= Duration::from_micros(30) {
+                break;
+            }
+        }
+        assert!(costs.last().is_some_and(|c| *c <= Duration::from_micros(30)), "costs {costs:?}");
+
+        let h = Histogram::detached();
+        let stats = run_costed_filter(Some(h.clone()));
+        assert_eq!(h.count(), 1000);
+        assert_eq!(stats.lock().processed, 1000);
     }
 }

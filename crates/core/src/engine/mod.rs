@@ -74,7 +74,9 @@ pub struct EngineConfig {
     /// Aging rate of the level-3 scheduler (priority points per waiting
     /// second; prevents starvation).
     pub aging_rate: f64,
-    /// Measure per-operator cost / selectivity / arrival statistics.
+    /// Measure per-operator cost / selectivity / arrival statistics. The
+    /// cost is timed on one invocation in 16 per operator (see
+    /// [`ExecConfig::measure`]); the other statistics count every element.
     pub measure_stats: bool,
     /// Sample total queued elements into a time series at this interval
     /// (the paper's Fig. 9 "memory usage" curve). `None` disables.

@@ -614,6 +614,46 @@ mod tests {
         assert_eq!(gauge.load(Ordering::Relaxed), 2);
     }
 
+    /// Moves `N` messages through a `bounded(1, Block)` queue from one
+    /// producer to a consumer calling `pop`, so both sides park often.
+    /// Fails, rather than hangs, on a lost wake-up.
+    fn parked_handoff_in_order(pop: fn(&StreamQueue) -> Option<Message>) {
+        const N: i64 = 100_000;
+        let q = StreamQueue::bounded("q", 1, BackpressurePolicy::Block);
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || (0..N).for_each(|i| q.push(data(i)).unwrap()))
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                for i in 0..N {
+                    let m = pop(&q).expect("queue delivers before the timeout");
+                    assert_eq!(m.as_data().unwrap().tuple.field(0).as_int().unwrap(), i);
+                }
+                done_tx.send(()).unwrap();
+            })
+        };
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("finished within 60 s (else: lost wake-up)");
+        producer.join().unwrap();
+        consumer.join().unwrap();
+        assert_eq!(q.metrics().enqueued(), N as u64);
+        assert_eq!(q.metrics().dequeued(), N as u64);
+    }
+
+    #[test]
+    fn bounded_one_slot_handoff_with_pop_blocking() {
+        parked_handoff_in_order(|q| q.pop_blocking());
+    }
+
+    #[test]
+    fn bounded_one_slot_handoff_with_pop_timeout() {
+        parked_handoff_in_order(|q| q.pop_timeout(Duration::from_secs(30)));
+    }
+
     #[test]
     fn concurrent_producers_consumers_lose_nothing() {
         let q = StreamQueue::unbounded("q");
