@@ -17,7 +17,7 @@ pub mod sync;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -28,7 +28,7 @@ use hmts_graph::graph::{NodeId, QueryGraph};
 use hmts_graph::partition::Partitioning;
 use hmts_graph::topology::{Payload, Topology};
 use hmts_graph::validate::{validate, ValidationError};
-use hmts_obs::{Obs, SchedEvent};
+use hmts_obs::{GraphModel, ModelNode, ModelShard, Obs, SchedEvent};
 use hmts_operators::traits::{EosTracker, Operator, Source, WatermarkTracker};
 use hmts_state::{Checkpoint, CheckpointStore};
 use hmts_streams::element::Message;
@@ -340,7 +340,7 @@ impl Engine {
         });
         let checkpoint_shared =
             cfg.checkpoint.as_ref().map(|_| CheckpointShared::new(cfg.obs.clone()));
-        Ok(Engine {
+        let engine = Engine {
             carry: (0..n).map(|_| None).collect(),
             topo,
             plan,
@@ -365,7 +365,9 @@ impl Engine {
             worker_panics: Vec::new(),
             checkpoint_shared,
             checkpoint_thread: None,
-        })
+        };
+        engine.publish_model(&[]);
+        Ok(engine)
     }
 
     /// Rebuilds an engine from the latest complete checkpoint in `dir`.
@@ -956,6 +958,7 @@ impl Engine {
         };
 
         self.register_collectors(&queues);
+        self.publish_model(&queue_for);
         self.wiring =
             Some(Wiring { executors, notifiers, dedicated, ts, stop, queues, stall_monitor });
     }
@@ -1059,33 +1062,66 @@ impl Engine {
         }
     }
 
-    /// Publishes the query shape onto a [`hmts_obs::StatusBoard`] in the
-    /// encoding the capacity analyzer
-    /// ([`hmts_obs::capacity::TopologySpec`]) parses: `topology.edges`
-    /// (`a->b;b->c`), `topology.sources` (`a,b`), and
-    /// `topology.partitions` (`b,c|d,e` — the current plan's virtual
-    /// operators). Call it after construction and again after any plan
-    /// switch so `/analyze` tracks the live partitioning. Node names
-    /// containing the separators (`;`, `,`, `|`, `->`) would corrupt the
-    /// encoding and are the host's responsibility to avoid.
-    pub fn publish_topology(&self, status: &hmts_obs::StatusBoard) {
-        let edges: Vec<String> = self
+    /// Registers the engine's [`GraphModel`] provider on the obs handle
+    /// (no-op when disabled). The shape — topological order, partitions of
+    /// the current plan, shard groups — is fixed here; each call reads the
+    /// stats cells and the entry queues in `queue_for` (one slot per edge,
+    /// empty before the first wiring). Called at construction and by every
+    /// re-wiring, so the model always describes the running plan.
+    fn publish_model(&self, queue_for: &[Option<Arc<StreamQueue>>]) {
+        if !self.cfg.obs.is_enabled() {
+            return;
+        }
+        let order = cost_graph_from_topology(&self.topo, &self.hint_inputs)
+            .topological_order()
+            .expect("validated query graphs are acyclic");
+        let mut index = vec![0; order.len()];
+        for (k, &v) in order.iter().enumerate() {
+            index[v] = k;
+        }
+        let part_of = self.plan.partitioning.group_index();
+        // Queues are held weakly: the provider outlives the wiring and must
+        // not keep a torn-down wiring's queues (and what they hold) alive.
+        let (shape, cells): (Vec<ModelNode>, Vec<_>) = order
+            .iter()
+            .map(|&v| {
+                let id = NodeId(v);
+                let node = ModelNode {
+                    name: self.topo.name(id).to_string(),
+                    preds: self.topo.in_edges(id).map(|e| index[e.from.0]).collect(),
+                    source: self.topo.is_source(id),
+                    partition: part_of.get(&id).copied(),
+                    ..ModelNode::default()
+                };
+                let queues: Vec<Weak<StreamQueue>> = (self.topo.edges().iter().zip(queue_for))
+                    .filter(|(e, _)| e.to == id)
+                    .filter_map(|(_, q)| q.as_ref().map(Arc::downgrade))
+                    .collect();
+                (node, (Arc::clone(&self.stats[v]), queues))
+            })
+            .unzip();
+        let shards: Vec<ModelShard> = self
             .topo
-            .edges()
+            .shard_groups()
             .iter()
-            .map(|e| format!("{}->{}", self.topo.name(e.from), self.topo.name(e.to)))
+            .map(|g| ModelShard {
+                logical: g.logical.clone(),
+                splitter: index[g.split.0],
+                replicas: g.replicas.iter().map(|r| index[r.0]).collect(),
+            })
             .collect();
-        let sources: Vec<&str> = self.topo.sources().iter().map(|&s| self.topo.name(s)).collect();
-        let partitions: Vec<String> = self
-            .plan
-            .partitioning
-            .groups()
-            .iter()
-            .map(|g| g.iter().map(|&v| self.topo.name(v)).collect::<Vec<_>>().join(","))
-            .collect();
-        status.set("topology.edges", edges.join(";"));
-        status.set("topology.sources", sources.join(","));
-        status.set("topology.partitions", partitions.join("|"));
+        self.cfg.obs.set_graph_model(move || {
+            let mut nodes = shape.clone();
+            for (node, (stats, queues)) in nodes.iter_mut().zip(&cells) {
+                let s = stats.lock();
+                node.cost_ns = s.cost.cost().map(|c| c.as_nanos() as f64);
+                node.selectivity = s.selectivity.selectivity();
+                node.rate = s.arrivals.rate();
+                node.queue_depth = (!queues.is_empty())
+                    .then(|| queues.iter().filter_map(Weak::upgrade).map(|q| q.len() as f64).sum());
+            }
+            GraphModel { nodes, shards: shards.clone() }
+        });
     }
 
     fn stall_threshold_effective(&self) -> usize {

@@ -70,6 +70,20 @@ pub struct Edge {
     pub to_port: usize,
 }
 
+/// One operator replaced by the sharding rewrite, recorded on the graph so
+/// later layers know which nodes form the group without reading names.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardGroup {
+    /// Name of the operator before the rewrite (e.g. `agg`).
+    pub logical: String,
+    /// The hash-partitioning splitter.
+    pub split: NodeId,
+    /// The replicas, shard index order.
+    pub replicas: Vec<NodeId>,
+    /// The order-restoring merge.
+    pub merge: NodeId,
+}
+
 /// A continuous-query graph.
 ///
 /// The graph owns its sources and operators. Structural queries
@@ -80,6 +94,7 @@ pub struct Edge {
 pub struct QueryGraph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
+    shard_groups: Vec<ShardGroup>,
 }
 
 impl QueryGraph {
@@ -124,6 +139,16 @@ impl QueryGraph {
         let e = Edge { from, to, to_port };
         self.edges.push(e);
         e
+    }
+
+    /// Records a sharded operator's node group (see [`ShardGroup`]).
+    pub fn add_shard_group(&mut self, group: ShardGroup) {
+        self.shard_groups.push(group);
+    }
+
+    /// The sharded operators recorded by sharding rewrites, in order.
+    pub fn shard_groups(&self) -> &[ShardGroup] {
+        &self.shard_groups
     }
 
     /// Number of nodes.

@@ -26,7 +26,7 @@ pub mod validate;
 pub use builder::GraphBuilder;
 pub use cost::{CostGraph, CostInputs};
 pub use dot::to_dot;
-pub use graph::{Edge, Node, NodeId, NodeKind, QueryGraph};
+pub use graph::{Edge, Node, NodeId, NodeKind, QueryGraph, ShardGroup};
 pub use partition::{PartitionError, Partitioning};
 pub use topology::{Payload, TopoKind, Topology};
 pub use validate::{validate, validated, ValidationError};

@@ -11,7 +11,7 @@ use std::fmt;
 
 use hmts_operators::traits::{Operator, Source};
 
-use crate::graph::{Edge, NodeId, QueryGraph};
+use crate::graph::{Edge, NodeId, QueryGraph, ShardGroup};
 use crate::partition::Partitioning;
 
 /// Structural kind of a node, without its payload.
@@ -40,6 +40,7 @@ pub struct Topology {
     names: Vec<String>,
     kinds: Vec<TopoKind>,
     edges: Vec<Edge>,
+    shard_groups: Vec<ShardGroup>,
 }
 
 impl Topology {
@@ -59,6 +60,7 @@ impl Topology {
                 })
                 .collect(),
             edges: g.edges().to_vec(),
+            shard_groups: g.shard_groups().to_vec(),
         }
     }
 
@@ -70,6 +72,11 @@ impl Topology {
     /// All edges.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
+    }
+
+    /// The sharded operators of the graph (see [`ShardGroup`]).
+    pub fn shard_groups(&self) -> &[ShardGroup] {
+        &self.shard_groups
     }
 
     /// Name of a node.
@@ -190,6 +197,7 @@ impl QueryGraph {
         let mut kinds = Vec::new();
         let mut payloads = Vec::new();
         let edges = self.edges().to_vec();
+        let shard_groups = self.shard_groups().to_vec();
         for node in self.into_nodes() {
             names.push(node.name);
             match node.kind {
@@ -203,7 +211,7 @@ impl QueryGraph {
                 }
             }
         }
-        (Topology { names, kinds, edges }, payloads)
+        (Topology { names, kinds, edges, shard_groups }, payloads)
     }
 }
 

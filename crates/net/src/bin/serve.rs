@@ -317,10 +317,10 @@ fn main() {
     });
     let status = StatusBoard::default();
     publish_plan(&status, engine.plan());
-    engine.publish_topology(&status);
     // Capacity analyzer + alert rules evaluate on every collector pass
-    // (admin scrape or sampler tick); both survive plan switches.
-    capacity::install(&obs, &status, CapacityConfig::default());
+    // (admin scrape or sampler tick); both survive plan switches, and the
+    // analyzer reads the graph model the engine keeps current itself.
+    capacity::install(&obs, CapacityConfig::default());
     let _alerts = AlertEngine::install(&obs, alert_rules);
     let _admin = args.admin.as_ref().map(|addr| {
         let server = AdminServer::bind(addr, obs.clone(), status.clone()).unwrap_or_else(|e| {
@@ -344,7 +344,6 @@ fn main() {
         println!("serve: switching GTS -> HMTS ({} workers) under load", args.workers.max(1));
         engine.switch_plan(hmts_plan()).expect("runtime plan switch");
         publish_plan(&status, engine.plan());
-        engine.publish_topology(&status);
     }
 
     // The engine finishes once all expected producers disconnected and the

@@ -96,15 +96,13 @@ fn analyze_names_bottleneck_predicts_p99_and_alert_fires_and_clears() {
     let mut engine = Engine::with_config(chain.graph, plan, cfg).unwrap();
     engine.start().unwrap();
 
-    // The analyzer's inputs: topology on the status board, the analyzer
-    // itself and an overload alert as pinned collectors.
-    let status = StatusBoard::default();
-    engine.publish_topology(&status);
-    capacity::install(&obs, &status, CapacityConfig::default());
+    // The analyzer reads the graph model the engine registered on `obs`;
+    // it and an overload alert run as pinned collectors.
+    capacity::install(&obs, CapacityConfig::default());
     let rule = AlertRule::parse("queue.sel_cheap->sel_expensive.occupancy > 150 for 150ms")
         .expect("alert rule parses");
     let _alerts = AlertEngine::install(&obs, vec![rule]);
-    let admin = AdminServer::bind("127.0.0.1:0", obs.clone(), status.clone()).unwrap();
+    let admin = AdminServer::bind("127.0.0.1:0", obs.clone(), StatusBoard::default()).unwrap();
     let addr = admin.addr();
 
     // One client run, two phases (a second connection would find the

@@ -20,16 +20,18 @@
 //!   ([`crate::capacity`]): per-node utilization table ranked by ρ,
 //!   per-partition utilization, bottleneck + headroom, predicted
 //!   end-to-end p50/p99 per source→terminal path, and model-vs-measured
-//!   drift. Requires the host to publish `topology.*` keys on the
-//!   [`StatusBoard`].
+//!   drift. Answers `{"topology":false}` until an engine has registered
+//!   its graph model on the [`Obs`] handle.
 //! * `GET /trace?last=N` — the most recent `N` completed tuple spans in
 //!   the same `spans.json` shape as [`export::spans_json`].
 //!
 //! The server holds only an [`Obs`] clone, so it observes whatever the
-//! engine publishes without any direct coupling to engine types: the
-//! snapshot endpoint reconstructs structure from the metric naming
-//! conventions (`queue.<name>.<field>`, `node.<name>.<field>`,
-//! `checkpoint.*`, `engine.*`) that the engine's collectors maintain.
+//! engine publishes without any direct coupling to engine types. Graph
+//! structure — partitions, shard groups — comes from the typed
+//! [`GraphModel`](crate::GraphModel) the engine registers
+//! ([`Obs::graph_model`]); the per-entity tables of `/snapshot` list the
+//! metrics the engine's collectors maintain (`queue.<name>.<field>`,
+//! `node.<name>.<field>`, `checkpoint.*`, `engine.*`).
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -184,7 +186,7 @@ fn serve_connection(stream: TcpStream, obs: &Obs, status: &StatusBoard) {
         "/analyze" => {
             if obs.is_enabled() {
                 obs.run_collectors();
-                let body = analyze_json(obs, status);
+                let body = analyze_json(obs);
                 respond(&mut stream, 200, "application/json", &body);
             } else {
                 respond(&mut stream, 503, "text/plain; charset=utf-8", "observability disabled\n");
@@ -278,11 +280,14 @@ fn healthz_json(obs: &Obs) -> String {
 }
 
 /// Body of `GET /analyze`: the capacity report, or a `topology:false`
-/// stub when the host has not published a `topology.*` shape yet.
-fn analyze_json(obs: &Obs, status: &StatusBoard) -> String {
+/// stub when no engine has registered its graph model yet.
+fn analyze_json(obs: &Obs) -> String {
     let cfg = crate::capacity::CapacityConfig::default();
-    match crate::capacity::analyze_status(&obs.metrics_snapshot(), &status.snapshot(), &cfg) {
-        Some(report) => crate::capacity::report_json(&report, obs.elapsed().as_millis()),
+    match obs.graph_model() {
+        Some(model) => {
+            let report = crate::capacity::analyze(&model, &obs.metrics_snapshot(), &cfg);
+            crate::capacity::report_json(&report, obs.elapsed().as_millis())
+        }
         None => "{\"topology\":false}\n".into(),
     }
 }
@@ -384,32 +389,24 @@ fn snapshot_json(obs: &Obs, status: &StatusBoard) -> String {
         .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
         .collect();
 
-    // Shard replicas (`agg[i]`) grouped under their logical node: the
-    // per-replica operator entries stay as-is above, and this section
-    // indexes them by base name with the summed arrival rate — names are
-    // parsed here, never constructed (see `capacity::parse_replica`).
-    let mut shard_groups: BTreeMap<&str, Vec<(usize, &str)>> = BTreeMap::new();
-    for entity in nodes.keys() {
-        if let Some((base, idx)) = crate::capacity::parse_replica(entity) {
-            shard_groups.entry(base).or_default().push((idx, entity));
-        }
-    }
-    let shards: Vec<String> = shard_groups
+    // Shard replicas grouped under their logical node by the graph model's
+    // typed groups; `rate` sums the replicas' measured rates.
+    let model = obs.graph_model().unwrap_or_default();
+    let shards: Vec<String> = model
+        .shards
         .iter()
-        .map(|(base, members)| {
-            let mut members = members.clone();
-            members.sort_unstable();
-            let replicas: Vec<String> =
-                members.iter().map(|(_, name)| format!("\"{}\"", json_escape(name))).collect();
-            let rate: f64 = members
+        .map(|s| {
+            let replicas: Vec<String> = s
+                .replicas
                 .iter()
-                .filter_map(|(_, name)| nodes.get(name).and_then(|f| f.get("rate")))
-                .sum();
+                .map(|&i| format!("\"{}\"", json_escape(&model.nodes[i].name)))
+                .collect();
+            let rate: f64 = s.replicas.iter().filter_map(|&i| model.nodes[i].rate).sum();
             format!(
                 "\"{}\":{{\"display\":\"{}[0..{}]\",\"replicas\":[{}],\"rate\":{}}}",
-                json_escape(base),
-                json_escape(base),
-                members.len(),
+                json_escape(&s.logical),
+                json_escape(&s.logical),
+                s.replicas.len(),
                 replicas.join(","),
                 fmt_f64(rate),
             )
@@ -433,7 +430,7 @@ fn snapshot_json(obs: &Obs, status: &StatusBoard) -> String {
 mod tests {
     use super::*;
     use crate::trace::{trace_id, TraceConfig};
-    use crate::{HopKind, ObsConfig};
+    use crate::{GraphModel, HopKind, ModelNode, ModelShard, ObsConfig};
     use std::io::Read;
 
     fn get(addr: SocketAddr, target: &str) -> (u16, String) {
@@ -541,18 +538,16 @@ mod tests {
         }
     }
 
+    fn model_node(name: &str, preds: &[usize]) -> ModelNode {
+        ModelNode { name: name.into(), preds: preds.to_vec(), ..ModelNode::default() }
+    }
+
     #[test]
     fn analyze_reports_bottleneck_and_refreshes_collectors_per_scrape() {
         use std::sync::atomic::AtomicI64;
 
         let obs = Obs::enabled();
         let status = StatusBoard::default();
-        status.set("topology.edges", "src->f;f->g");
-        status.set("topology.sources", "src");
-        obs.gauge("source.src.rate").set(1_000);
-        obs.gauge("node.g.cost_ns").set(800_000); // ρ = 0.8 — the bottleneck
-        obs.gauge("node.g.rate").set(1_000);
-        obs.gauge("node.f.cost_ns").set(1_000);
 
         // Live rate source behind a regular collector: each scrape must
         // re-run collectors, so back-to-back scrapes see advancing rates.
@@ -560,6 +555,24 @@ mod tests {
         let rate_src = Arc::clone(&live_rate);
         let rate_gauge = obs.gauge("node.f.rate");
         obs.add_collector(move || rate_gauge.set(rate_src.load(Ordering::Relaxed)));
+        let f_rate = obs.gauge("node.f.rate");
+        obs.set_graph_model(move || GraphModel {
+            nodes: vec![
+                ModelNode { source: true, rate: Some(1_000.0), ..model_node("src", &[]) },
+                ModelNode {
+                    cost_ns: Some(1_000.0),
+                    rate: Some(f_rate.get() as f64),
+                    ..model_node("f", &[0])
+                },
+                // ρ = 0.8 — the bottleneck
+                ModelNode {
+                    cost_ns: Some(800_000.0),
+                    rate: Some(1_000.0),
+                    ..model_node("g", &[1])
+                },
+            ],
+            shards: Vec::new(),
+        });
 
         let server = AdminServer::bind("127.0.0.1:0", obs.clone(), status).expect("bind");
         let addr = server.addr();
@@ -605,19 +618,26 @@ mod tests {
     #[test]
     fn snapshot_and_analyze_group_shard_replicas() {
         let obs = Obs::enabled();
-        obs.gauge("source.src.rate").set(1_000);
-        obs.gauge("node.agg.split.rate").set(1_000);
-        for (name, rate) in [("agg[0]", 700), ("agg[1]", 300)] {
-            obs.gauge(&format!("node.{name}.cost_ns")).set(400_000);
-            obs.gauge(&format!("node.{name}.rate")).set(rate);
-        }
-        let status = StatusBoard::default();
-        status.set(
-            "topology.edges",
-            "src->agg.split;agg.split->agg[0];agg.split->agg[1];agg[0]->agg.merge;agg[1]->agg.merge",
-        );
-        status.set("topology.sources", "src");
-        let server = AdminServer::bind("127.0.0.1:0", obs.clone(), status).expect("bind");
+        obs.set_graph_model(|| GraphModel {
+            nodes: vec![
+                ModelNode { source: true, rate: Some(1_000.0), ..model_node("src", &[]) },
+                ModelNode { rate: Some(1_000.0), ..model_node("agg.split", &[0]) },
+                ModelNode {
+                    cost_ns: Some(400_000.0),
+                    rate: Some(700.0),
+                    ..model_node("agg[0]", &[1])
+                },
+                ModelNode {
+                    cost_ns: Some(400_000.0),
+                    rate: Some(300.0),
+                    ..model_node("agg[1]", &[1])
+                },
+                model_node("agg.merge", &[2, 3]),
+            ],
+            shards: vec![ModelShard { logical: "agg".into(), splitter: 1, replicas: vec![2, 3] }],
+        });
+        let server =
+            AdminServer::bind("127.0.0.1:0", obs.clone(), StatusBoard::default()).expect("bind");
 
         let (code, body) = get(server.addr(), "/snapshot");
         assert_eq!(code, 200, "{body}");
@@ -637,6 +657,43 @@ mod tests {
         assert_eq!(shards[0].get("logical").and_then(|v| v.as_str()), Some("agg"));
         let rho = shards[0].get("max_rho").and_then(|v| v.as_f64()).expect("max_rho");
         assert!((rho - 0.28).abs() < 1e-6, "hottest replica ρ 700×400µs: {rho}");
+    }
+
+    /// Shard groups come only from the model: an unsharded operator whose
+    /// name happens to look like a replica (`lane[0]`) is not rolled up,
+    /// even with its `node.lane[0].*` gauges on the registry.
+    #[test]
+    fn replica_shaped_name_without_shard_group_is_not_a_shard() {
+        let obs = Obs::enabled();
+        obs.gauge("node.lane[0].rate").set(500);
+        obs.gauge("node.lane[0].cost_ns").set(1_000);
+        obs.set_graph_model(|| GraphModel {
+            nodes: vec![
+                ModelNode { source: true, rate: Some(500.0), ..model_node("src", &[]) },
+                ModelNode {
+                    cost_ns: Some(1_000.0),
+                    rate: Some(500.0),
+                    ..model_node("lane[0]", &[0])
+                },
+            ],
+            shards: Vec::new(),
+        });
+        let server =
+            AdminServer::bind("127.0.0.1:0", obs.clone(), StatusBoard::default()).expect("bind");
+
+        let (code, body) = get(server.addr(), "/snapshot");
+        assert_eq!(code, 200, "{body}");
+        let snap = crate::json::parse(&body).expect("snapshot is JSON");
+        let shards = snap.get("shards").and_then(|s| s.as_obj()).expect("shards object");
+        assert!(shards.is_empty(), "{body}");
+        assert!(snap.get("operators").and_then(|o| o.get("lane[0]")).is_some(), "{body}");
+
+        let (code, body) = get(server.addr(), "/analyze");
+        assert_eq!(code, 200, "{body}");
+        let doc = crate::json::parse(&body).expect("analyze is JSON");
+        let shards = doc.get("shards").and_then(|s| s.as_arr()).expect("shards array");
+        assert!(shards.is_empty(), "{body}");
+        assert_eq!(doc.get("bottleneck").and_then(|b| b.as_str()), Some("lane[0]"), "{body}");
     }
 
     #[test]

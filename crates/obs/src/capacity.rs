@@ -1,13 +1,12 @@
 //! Capacity-model analyzer: bottleneck attribution, latency prediction,
-//! and headroom estimation over the live metrics registry.
+//! and headroom estimation over the engine's live graph model.
 //!
 //! The paper's cost model — measured per-element cost `c(v)`, mean
-//! inter-arrival time `d(v)`, and selectivity-propagated rates — is fed
-//! into the registry by the engine's collectors under the
-//! `node.<name>.*` / `source.<name>.*` naming conventions, and the graph
-//! shape is published through the [`StatusBoard`] (`topology.edges`,
-//! `topology.sources`, `topology.partitions`). This module turns those
-//! raw measurements into operator-facing answers:
+//! inter-arrival time `d(v)`, and selectivity-propagated rates — reaches
+//! this module as one typed [`GraphModel`], built by the provider the
+//! engine keeps registered on its [`Obs`] handle
+//! ([`Obs::set_graph_model`]). This module turns it into operator-facing
+//! answers:
 //!
 //! * **per-node utilization** ρ(v) = λ(v) · c(v), the fraction of one
 //!   core the operator consumes at the measured arrival rate;
@@ -25,12 +24,13 @@
 //!   partition (or node) saturates (ρ ≥ 1), since every λ in the graph
 //!   scales linearly with the source rates;
 //! * **model-vs-measured drift** against the real
-//!   `egress.<terminal>.e2e_latency_ns` histograms.
+//!   `egress.<terminal>.e2e_latency_ns` histograms, the only input read
+//!   from the metrics registry.
 //!
 //! Inline operators (nodes inside a virtual operator, reached by direct
 //! interoperability) contribute service time but no queueing wait — only
-//! nodes that head a decoupling queue are stations. When no partitioning
-//! is published every non-source node is treated as a station (the GTS
+//! nodes that head a decoupling queue are stations. When no node carries
+//! a partition every non-source node is treated as a station (the GTS
 //! view).
 //!
 //! [`install`] registers a *pinned* collector (one that survives the
@@ -38,9 +38,6 @@
 //! as `capacity.*` gauges, so `/metrics` scrapes and alert rules see the
 //! model without calling the analyzer directly.
 
-use std::collections::BTreeMap;
-
-use crate::admin::StatusBoard;
 use crate::export::json_escape;
 use crate::registry::quantile_from_cumulative;
 use crate::{MetricValue, Obs};
@@ -69,81 +66,51 @@ impl Default for CapacityConfig {
     }
 }
 
-/// Graph shape published by the engine through the [`StatusBoard`].
-///
-/// Encoding (one string per key, node names must not contain the
-/// separators `;`, `,`, `|`, or the arrow `->`):
-///
-/// * `topology.edges` — `a->b;b->c;…`
-/// * `topology.sources` — `a,b,…`
-/// * `topology.partitions` — `b,c|d,e|…` (optional; virtual-operator
-///   groups of the current plan)
+/// One node of a [`GraphModel`].
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct TopologySpec {
-    /// Directed edges by node name.
-    pub edges: Vec<(String, String)>,
-    /// Source node names.
-    pub sources: Vec<String>,
-    /// Virtual-operator groups by node name (empty = unknown).
-    pub partitions: Vec<Vec<String>>,
+pub struct ModelNode {
+    /// Node name.
+    pub name: String,
+    /// Indices (into [`GraphModel::nodes`]) of the producers feeding this
+    /// node, one per in-edge. Each is smaller than the node's own index.
+    pub preds: Vec<usize>,
+    /// Whether the node is a source.
+    pub source: bool,
+    /// The virtual operator (partition) of the running plan holding the
+    /// node; `None` for sources or when unknown.
+    pub partition: Option<usize>,
+    /// Measured per-element cost c(v) in nanoseconds.
+    pub cost_ns: Option<f64>,
+    /// Measured selectivity (outputs per input).
+    pub selectivity: Option<f64>,
+    /// Measured arrival rate λ(v) in elements/second (a source's emission
+    /// rate).
+    pub rate: Option<f64>,
+    /// Elements waiting in the node's entry queues; `None` when no queue
+    /// feeds the node.
+    pub queue_depth: Option<f64>,
 }
 
-impl TopologySpec {
-    /// Parses the `topology.*` keys out of a status snapshot; `None` when
-    /// no topology has been published.
-    pub fn from_status(status: &BTreeMap<String, String>) -> Option<TopologySpec> {
-        let edges_raw = status.get("topology.edges")?;
-        let split = |s: &str, sep: char| -> Vec<String> {
-            s.split(sep).filter(|p| !p.is_empty()).map(|p| p.to_string()).collect()
-        };
-        let edges = edges_raw
-            .split(';')
-            .filter_map(|e| e.split_once("->"))
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .collect();
-        let sources = status.get("topology.sources").map(|s| split(s, ',')).unwrap_or_default();
-        let partitions = status
-            .get("topology.partitions")
-            .map(|s| s.split('|').map(|g| split(g, ',')).filter(|g| !g.is_empty()).collect())
-            .unwrap_or_default();
-        Some(TopologySpec { edges, sources, partitions })
-    }
-
-    /// All node names, sources first, then operators in edge-discovery
-    /// order.
-    pub fn nodes(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.sources.clone();
-        for (a, b) in &self.edges {
-            for n in [a, b] {
-                if !out.iter().any(|x| x == n) {
-                    out.push(n.clone());
-                }
-            }
-        }
-        out
-    }
+/// One sharded logical operator of a [`GraphModel`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ModelShard {
+    /// Name of the operator before the sharding rewrite.
+    pub logical: String,
+    /// Index of the splitter node. A splitter routes each element to one
+    /// replica, so its output rate divides across the replicas.
+    pub splitter: usize,
+    /// Indices of the replica nodes, shard index order.
+    pub replicas: Vec<usize>,
 }
 
-/// Parses a shard-replica node name, `base[i]` → `(base, i)`.
-///
-/// Parsing only: replica names are *constructed* solely by
-/// `hmts-shard`'s `names` module (a repo check gate keeps it that way);
-/// the observability plane recognizes them to group replicas under
-/// their logical operator without depending on the shard crate.
-pub fn parse_replica(name: &str) -> Option<(&str, usize)> {
-    let rest = name.strip_suffix(']')?;
-    let (base, idx) = rest.rsplit_once('[')?;
-    if base.is_empty() || idx.is_empty() || !idx.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    Some((base, idx.parse().ok()?))
-}
-
-/// Whether a node is a shard splitter (`base.split` by the same naming
-/// scheme). Splitters *route* rather than copy: their output rate divides
-/// across their out-edges instead of duplicating onto each.
-fn is_splitter(name: &str) -> bool {
-    name.ends_with(".split")
+/// The query graph and its measurements as the engine sees them: the
+/// analyzer's only graph input.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct GraphModel {
+    /// Nodes in topological order.
+    pub nodes: Vec<ModelNode>,
+    /// Sharded operators.
+    pub shards: Vec<ModelShard>,
 }
 
 /// One node's capacity picture.
@@ -281,203 +248,125 @@ pub struct CapacityReport {
     pub drift: Vec<Drift>,
 }
 
-/// Typed view over a metrics snapshot.
-struct Lookup<'a>(&'a [(String, MetricValue)]);
-
-impl Lookup<'_> {
-    fn gauge(&self, name: &str) -> Option<f64> {
-        self.0.iter().find_map(|(n, v)| match v {
-            MetricValue::Gauge(g) if n == name => Some(*g as f64),
-            _ => None,
-        })
-    }
-
-    fn histogram(&self, name: &str) -> Option<(u64, &Vec<(u64, u64)>)> {
-        self.0.iter().find_map(|(n, v)| match v {
-            MetricValue::Histogram(count, _, buckets) if n == name => Some((*count, buckets)),
-            _ => None,
-        })
-    }
-}
-
-/// Runs the analyzer over a metrics snapshot and a published topology.
+/// Runs the analyzer over a graph model. `metrics` is read only for the
+/// `egress.<terminal>.e2e_latency_ns` histograms of the drift table.
 pub fn analyze(
+    model: &GraphModel,
     metrics: &[(String, MetricValue)],
-    topo: &TopologySpec,
     cfg: &CapacityConfig,
 ) -> CapacityReport {
-    let m = Lookup(metrics);
-    let names = topo.nodes();
-    let idx_of = |n: &str| names.iter().position(|x| x == n);
-    let n = names.len();
-    let is_source = |i: usize| topo.sources.iter().any(|s| s == &names[i]);
-
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let nodes_in = &model.nodes;
+    let n = nodes_in.len();
+    let is_source = |i: usize| nodes_in[i].source;
+    let part_of = |i: usize| nodes_in[i].partition;
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (a, b) in &topo.edges {
-        if let (Some(u), Some(v)) = (idx_of(a), idx_of(b)) {
-            preds[v].push(u);
+    for (v, node) in nodes_in.iter().enumerate() {
+        for &u in &node.preds {
             succs[u].push(v);
         }
     }
-    let part_of: Vec<Option<usize>> = names
-        .iter()
-        .map(|name| topo.partitions.iter().position(|g| g.iter().any(|x| x == name)))
-        .collect();
-
-    // Measured inputs per node; arrival rates fall back to selectivity
-    // propagation from upstream when a node has not published a rate yet.
-    let cost_ns: Vec<f64> = names
-        .iter()
-        .map(|name| m.gauge(&format!("node.{name}.cost_ns")).unwrap_or(0.0).max(0.0))
-        .collect();
-    let sel: Vec<f64> = names
-        .iter()
-        .map(|name| {
-            m.gauge(&format!("node.{name}.selectivity_ppm")).map(|x| x / 1e6).unwrap_or(1.0)
-        })
-        .collect();
-    let mut rate: Vec<f64> = vec![0.0; n];
-    // Topological order via Kahn (graphs are DAGs; a cycle just leaves
-    // the affected rates at their measured/zero values).
-    let mut indeg: Vec<usize> = preds.iter().map(|p| p.len()).collect();
-    let mut order: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut head = 0;
-    while head < order.len() {
-        let u = order[head];
-        head += 1;
-        for &v in &succs[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                order.push(v);
-            }
-        }
+    // A shard splitter routes, it does not copy: its output divides across
+    // its replicas (uniformly, as the model's best guess absent measured
+    // rates). Any other node copies its output to every successor.
+    let mut fan = vec![1.0; n];
+    for s in &model.shards {
+        fan[s.splitter] = s.replicas.len().max(1) as f64;
     }
-    for &i in &order {
-        let name = &names[i];
-        let measured = if is_source(i) {
-            m.gauge(&format!("source.{name}.rate"))
-                .or_else(|| m.gauge(&format!("node.{name}.rate")))
-        } else {
-            m.gauge(&format!("node.{name}.rate"))
-        };
-        rate[i] = match measured {
+    let cost_ns: Vec<f64> = nodes_in.iter().map(|x| x.cost_ns.unwrap_or(0.0).max(0.0)).collect();
+    let sel: Vec<f64> = nodes_in.iter().map(|x| x.selectivity.unwrap_or(1.0)).collect();
+
+    // Measured arrival rates; a node without one (yet) gets the rate
+    // propagated from upstream through measured selectivities. Nodes are
+    // in topological order, so every producer's rate is final here.
+    let mut rate: Vec<f64> = vec![0.0; n];
+    for i in 0..n {
+        rate[i] = match nodes_in[i].rate {
             Some(r) if r > 0.0 => r,
-            _ => preds[i]
-                .iter()
-                .map(|&u| {
-                    // A shard splitter routes, it does not copy: its
-                    // output divides across its out-edges (uniformly, as
-                    // the model's best guess absent measured rates).
-                    let fan = if is_splitter(&names[u]) { succs[u].len().max(1) } else { 1 };
-                    rate[u] * sel[u] / fan as f64
-                })
-                .sum(),
+            _ => nodes_in[i].preds.iter().map(|&u| rate[u] * sel[u] / fan[u]).sum(),
         };
     }
 
     // Stations: nodes fed from a source or across a partition boundary.
-    // With no partitioning published, every operator queues (GTS view).
+    // With no partitioning known, every operator queues (GTS view).
+    let partitioned = nodes_in.iter().any(|x| x.partition.is_some());
     let station: Vec<bool> = (0..n)
         .map(|i| {
             !is_source(i)
-                && (topo.partitions.is_empty()
-                    || preds[i]
+                && (!partitioned
+                    || nodes_in[i]
+                        .preds
                         .iter()
-                        .any(|&u| is_source(u) || part_of[u] != part_of[i] || part_of[i].is_none()))
+                        .any(|&u| is_source(u) || part_of(u) != part_of(i) || part_of(i).is_none()))
         })
         .collect();
 
+    // Virtual operators, members in model order. A partition's ρ is the
+    // busy fraction Σ λ·c of the one thread serving all its members.
+    let rho: Vec<f64> = (0..n).map(|i| (rate[i] * cost_ns[i] * 1e-9).max(0.0)).collect();
+    let part_count = nodes_in.iter().filter_map(|x| x.partition).max().map_or(0, |p| p + 1);
+    let mut partitions: Vec<PartitionCapacity> = (0..part_count)
+        .map(|index| PartitionCapacity { index, nodes: Vec::new(), rho: 0.0 })
+        .collect();
+    for (i, x) in nodes_in.iter().enumerate() {
+        if let Some(p) = x.partition {
+            partitions[p].nodes.push(x.name.clone());
+            partitions[p].rho += rho[i];
+        }
+    }
+
     let cv2 = cfg.service_cv2.max(0.0);
-    // Per-partition busy nanoseconds per second of wall time: Σ λ·c over
-    // members. A station's queue is served by the partition's thread, so
-    // its wait must be computed against this aggregate, with an effective
+    // A station's queue is served by the partition's thread, so its wait
+    // must be computed against the partition's ρ, with an effective
     // service time of (partition work per second) / (station arrivals per
     // second) — the VO busy-time one arriving element induces.
-    let part_busy_ns: Vec<f64> = topo
-        .partitions
-        .iter()
-        .map(|group| {
-            group
-                .iter()
-                .filter_map(|name| idx_of(name))
-                .map(|i| rate[i] * cost_ns[i])
-                .sum::<f64>()
-                .max(0.0)
+    let wait_ns: Vec<f64> = (0..n)
+        .map(|i| {
+            if !station[i] {
+                return 0.0;
+            }
+            let (r_eff, service_ns) = match part_of(i) {
+                Some(p) if rate[i] > 0.0 => (partitions[p].rho, partitions[p].rho * 1e9 / rate[i]),
+                _ => (rho[i], cost_ns[i]),
+            };
+            let r = r_eff.min(cfg.rho_clamp).max(0.0);
+            r * service_ns * (1.0 + cv2) / (2.0 * (1.0 - r))
         })
         .collect();
     let mut nodes: Vec<NodeCapacity> = (0..n)
         .filter(|&i| !is_source(i))
-        .map(|i| {
-            let rho = (rate[i] * cost_ns[i] * 1e-9).max(0.0);
-            let wait_ns = if station[i] {
-                let (r_eff, service_ns) = match part_of[i] {
-                    Some(p) if rate[i] > 0.0 => (part_busy_ns[p] * 1e-9, part_busy_ns[p] / rate[i]),
-                    _ => (rho, cost_ns[i]),
-                };
-                let r = r_eff.min(cfg.rho_clamp).max(0.0);
-                r * service_ns * (1.0 + cv2) / (2.0 * (1.0 - r))
-            } else {
-                0.0
-            };
-            let queue_depth = preds[i]
-                .iter()
-                .filter_map(|&u| m.gauge(&format!("queue.{}->{}.occupancy", names[u], names[i])))
-                .reduce(|a, b| a + b);
-            NodeCapacity {
-                name: names[i].clone(),
-                rate: rate[i],
-                cost_ns: cost_ns[i],
-                selectivity: sel[i],
-                rho,
-                station: station[i],
-                wait_ns,
-                queue_depth,
-            }
+        .map(|i| NodeCapacity {
+            name: nodes_in[i].name.clone(),
+            rate: rate[i],
+            cost_ns: cost_ns[i],
+            selectivity: sel[i],
+            rho: rho[i],
+            station: station[i],
+            wait_ns: wait_ns[i],
+            queue_depth: nodes_in[i].queue_depth,
         })
         .collect();
     nodes.sort_by(|a, b| b.rho.total_cmp(&a.rho));
     let bottleneck = nodes.first().filter(|x| x.rho > 0.0).map(|x| x.name.clone());
 
     // Roll shard replicas up under their logical (pre-rewrite) node.
-    let mut by_base: BTreeMap<String, Vec<(usize, &NodeCapacity)>> = BTreeMap::new();
-    for x in &nodes {
-        if let Some((base, idx)) = parse_replica(&x.name) {
-            by_base.entry(base.to_string()).or_default().push((idx, x));
-        }
-    }
-    let shards: Vec<ShardCapacity> = by_base
-        .into_iter()
-        .map(|(logical, mut members)| {
-            members.sort_by_key(|m| m.0);
-            let count = members.len();
-            let rho: Vec<f64> = members.iter().map(|m| m.1.rho).collect();
+    let shards: Vec<ShardCapacity> = model
+        .shards
+        .iter()
+        .map(|s| {
+            let of = |v: &[f64]| -> Vec<f64> { s.replicas.iter().map(|&i| v[i]).collect() };
+            let rho = of(&rho);
             let max_rho = rho.iter().copied().fold(0.0, f64::max);
-            let mean = rho.iter().sum::<f64>() / count as f64;
+            let mean = rho.iter().sum::<f64>() / rho.len() as f64;
             ShardCapacity {
-                display: format!("{logical}[0..{count}]"),
-                replicas: members.iter().map(|m| m.1.name.clone()).collect(),
+                logical: s.logical.clone(),
+                display: format!("{}[0..{}]", s.logical, rho.len()),
+                replicas: s.replicas.iter().map(|&i| nodes_in[i].name.clone()).collect(),
                 max_rho,
-                max_wait_ns: members.iter().map(|m| m.1.wait_ns).fold(0.0, f64::max),
-                rate: members.iter().map(|m| m.1.rate).sum(),
+                max_wait_ns: of(&wait_ns).into_iter().fold(0.0, f64::max),
+                rate: of(&rate).iter().sum(),
                 imbalance: if mean > 0.0 { max_rho / mean } else { 1.0 },
                 rho,
-                logical,
             }
-        })
-        .collect();
-
-    let partitions: Vec<PartitionCapacity> = topo
-        .partitions
-        .iter()
-        .enumerate()
-        .map(|(index, group)| {
-            let rho = group
-                .iter()
-                .filter_map(|name| idx_of(name))
-                .map(|i| rate[i] * cost_ns[i] * 1e-9)
-                .sum();
-            PartitionCapacity { index, nodes: group.clone(), rho }
         })
         .collect();
 
@@ -493,9 +382,6 @@ pub fn analyze(
 
     // Paths: every source→terminal chain (bounded DFS — query graphs are
     // small; the cap guards against pathological fan-out).
-    let wait_of = |i: usize| -> f64 {
-        nodes.iter().find(|x| x.name == names[i]).map(|x| x.wait_ns).unwrap_or(0.0)
-    };
     let mut paths: Vec<PathPrediction> = Vec::new();
     const MAX_PATHS: usize = 64;
     for s in (0..n).filter(|&i| is_source(i)) {
@@ -507,11 +393,11 @@ pub fn analyze(
             let last = *path.last().expect("non-empty path");
             if succs[last].is_empty() && path.len() > 1 {
                 let service_ns: f64 = path[1..].iter().map(|&i| cost_ns[i]).sum();
-                let wait_ns: f64 = path[1..].iter().map(|&i| wait_of(i)).sum();
+                let wait_ns: f64 = path[1..].iter().map(|&i| wait_ns[i]).sum();
                 paths.push(PathPrediction {
-                    source: names[s].clone(),
-                    terminal: names[last].clone(),
-                    nodes: path.iter().map(|&i| names[i].clone()).collect(),
+                    source: nodes_in[s].name.clone(),
+                    terminal: nodes_in[last].name.clone(),
+                    nodes: path.iter().map(|&i| nodes_in[i].name.clone()).collect(),
                     service_ns,
                     wait_ns,
                     mean_ns: service_ns + wait_ns,
@@ -534,7 +420,11 @@ pub fn analyze(
     let drift: Vec<Drift> = paths
         .iter()
         .filter_map(|p| {
-            let (count, buckets) = m.histogram(&format!("egress.{}.e2e_latency_ns", p.terminal))?;
+            let name = format!("egress.{}.e2e_latency_ns", p.terminal);
+            let (count, buckets) = metrics.iter().find_map(|(n, v)| match v {
+                MetricValue::Histogram(count, _, buckets) if *n == name => Some((*count, buckets)),
+                _ => None,
+            })?;
             if count == 0 {
                 return None;
             }
@@ -570,16 +460,6 @@ pub fn analyze(
     }
 }
 
-/// Convenience: parse the topology from a status snapshot and analyze;
-/// `None` when no topology has been published yet.
-pub fn analyze_status(
-    metrics: &[(String, MetricValue)],
-    status: &BTreeMap<String, String>,
-    cfg: &CapacityConfig,
-) -> Option<CapacityReport> {
-    TopologySpec::from_status(status).map(|topo| analyze(metrics, &topo, cfg))
-}
-
 fn num(v: f64) -> String {
     if v.is_finite() {
         if v.fract() == 0.0 && v.abs() < 9e15 {
@@ -590,6 +470,11 @@ fn num(v: f64) -> String {
     } else {
         "null".into()
     }
+}
+
+/// A JSON array body of quoted, escaped names.
+fn quoted(names: &[String]) -> String {
+    names.iter().map(|x| format!("\"{}\"", json_escape(x))).collect::<Vec<_>>().join(",")
 }
 
 /// Renders the report as one JSON document (the `/analyze` body).
@@ -615,12 +500,10 @@ pub fn report_json(report: &CapacityReport, uptime_ms: u128) -> String {
         .partitions
         .iter()
         .map(|p| {
-            let members: Vec<String> =
-                p.nodes.iter().map(|x| format!("\"{}\"", json_escape(x))).collect();
             format!(
                 "{{\"index\":{},\"nodes\":[{}],\"rho\":{}}}",
                 p.index,
-                members.join(","),
+                quoted(&p.nodes),
                 num(p.rho)
             )
         })
@@ -629,14 +512,12 @@ pub fn report_json(report: &CapacityReport, uptime_ms: u128) -> String {
         .shards
         .iter()
         .map(|s| {
-            let replicas: Vec<String> =
-                s.replicas.iter().map(|x| format!("\"{}\"", json_escape(x))).collect();
             let rho: Vec<String> = s.rho.iter().map(|r| num(*r)).collect();
             format!(
                 "{{\"logical\":\"{}\",\"display\":\"{}\",\"replicas\":[{}],\"rho\":[{}],\"max_rho\":{},\"max_wait_ns\":{},\"rate\":{},\"imbalance\":{}}}",
                 json_escape(&s.logical),
                 json_escape(&s.display),
-                replicas.join(","),
+                quoted(&s.replicas),
                 rho.join(","),
                 num(s.max_rho),
                 num(s.max_wait_ns),
@@ -649,13 +530,11 @@ pub fn report_json(report: &CapacityReport, uptime_ms: u128) -> String {
         .paths
         .iter()
         .map(|p| {
-            let hops: Vec<String> =
-                p.nodes.iter().map(|x| format!("\"{}\"", json_escape(x))).collect();
             format!(
                 "{{\"source\":\"{}\",\"terminal\":\"{}\",\"nodes\":[{}],\"service_ns\":{},\"wait_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
                 json_escape(&p.source),
                 json_escape(&p.terminal),
-                hops.join(","),
+                quoted(&p.nodes),
                 num(p.service_ns),
                 num(p.wait_ns),
                 num(p.mean_ns),
@@ -700,8 +579,9 @@ pub fn report_json(report: &CapacityReport, uptime_ms: u128) -> String {
 }
 
 /// Installs the periodic analyzer: a pinned collector (surviving engine
-/// re-wirings) that runs [`analyze`] on every collector pass and
-/// publishes the result as `capacity.*` gauges:
+/// re-wirings) that runs [`analyze`] over the registered [`GraphModel`]
+/// on every collector pass and publishes the result as `capacity.*`
+/// gauges:
 ///
 /// * `capacity.node.<name>.rho_ppm`, `capacity.node.<name>.wait_ns`
 /// * `capacity.partition.<i>.rho_ppm`
@@ -714,18 +594,17 @@ pub fn report_json(report: &CapacityReport, uptime_ms: u128) -> String {
 /// * `capacity.path.<terminal>.predicted_{p50,p99,mean}_ns`
 /// * `capacity.drift.<terminal>.p99_ratio_ppm`
 ///
-/// No-op on a disabled handle.
-pub fn install(obs: &Obs, status: &StatusBoard, cfg: CapacityConfig) {
+/// Publishes nothing until a model provider is registered.
+pub fn install(obs: &Obs, cfg: CapacityConfig) {
     if !obs.is_enabled() {
         return;
     }
     let obs2 = obs.clone();
-    let status = status.clone();
     obs.add_pinned_collector(move || {
-        let Some(report) = analyze_status(&obs2.metrics_snapshot(), &status.snapshot(), &cfg)
-        else {
+        let Some(model) = obs2.graph_model() else {
             return;
         };
+        let report = analyze(&model, &obs2.metrics_snapshot(), &cfg);
         let ppm = |x: f64| (x * 1e6).clamp(0.0, i64::MAX as f64) as i64;
         for x in &report.nodes {
             obs2.gauge(&format!("capacity.node.{}.rho_ppm", x.name)).set(ppm(x.rho));
@@ -767,31 +646,52 @@ pub fn install(obs: &Obs, status: &StatusBoard, cfg: CapacityConfig) {
 mod tests {
     use super::*;
 
-    fn board(edges: &str, sources: &str, partitions: &str) -> BTreeMap<String, String> {
-        let mut b = BTreeMap::new();
-        b.insert("topology.edges".into(), edges.into());
-        b.insert("topology.sources".into(), sources.into());
-        if !partitions.is_empty() {
-            b.insert("topology.partitions".into(), partitions.into());
+    fn src(name: &str, rate: f64) -> ModelNode {
+        ModelNode { name: name.into(), source: true, rate: Some(rate), ..ModelNode::default() }
+    }
+
+    fn op(name: &str, preds: &[usize], cost_ns: f64, rate: Option<f64>) -> ModelNode {
+        ModelNode {
+            name: name.into(),
+            preds: preds.to_vec(),
+            cost_ns: Some(cost_ns),
+            rate,
+            ..ModelNode::default()
         }
-        b
+    }
+
+    fn model(nodes: Vec<ModelNode>) -> GraphModel {
+        GraphModel { nodes, shards: Vec::new() }
+    }
+
+    fn gauge(obs: &Obs, name: &str) -> Option<i64> {
+        obs.metrics_snapshot().into_iter().find_map(|(n, v)| match v {
+            MetricValue::Gauge(g) if n == name => Some(g),
+            _ => None,
+        })
     }
 
     /// src → a (cheap) → b (expensive): b must rank as the bottleneck and
     /// the path prediction must be the closed-form M/G/1 sum.
     #[test]
     fn ranks_bottleneck_and_predicts_path_latency() {
-        let obs = Obs::enabled();
-        obs.gauge("source.src.rate").set(1000);
-        obs.gauge("node.a.cost_ns").set(10_000); // 10 µs → ρ=0.01
-        obs.gauge("node.a.selectivity_ppm").set(1_000_000);
-        obs.gauge("node.a.rate").set(1000);
-        obs.gauge("node.b.cost_ns").set(500_000); // 500 µs → ρ=0.5
-        obs.gauge("node.b.selectivity_ppm").set(1_000_000);
-        obs.gauge("node.b.rate").set(1000);
-        let status = board("src->a;a->b", "src", "a|b");
+        let m = model(vec![
+            src("src", 1000.0),
+            // 10 µs → ρ=0.01
+            ModelNode {
+                selectivity: Some(1.0),
+                partition: Some(0),
+                ..op("a", &[0], 10_000.0, Some(1000.0))
+            },
+            // 500 µs → ρ=0.5
+            ModelNode {
+                selectivity: Some(1.0),
+                partition: Some(1),
+                ..op("b", &[1], 500_000.0, Some(1000.0))
+            },
+        ]);
         let cfg = CapacityConfig { service_cv2: 0.0, ..CapacityConfig::default() };
-        let report = analyze_status(&obs.metrics_snapshot(), &status, &cfg).expect("topology");
+        let report = analyze(&m, &[], &cfg);
 
         assert_eq!(report.bottleneck.as_deref(), Some("b"));
         assert_eq!(report.nodes[0].name, "b");
@@ -814,22 +714,20 @@ mod tests {
     }
 
     /// Rates propagate through measured selectivities when a downstream
-    /// node has not published its own rate.
+    /// node has not measured its own rate.
     #[test]
     fn propagates_rates_through_selectivity() {
-        let obs = Obs::enabled();
-        obs.gauge("source.src.rate").set(10_000);
-        obs.gauge("node.f.cost_ns").set(1_000);
-        obs.gauge("node.f.selectivity_ppm").set(100_000); // 0.1
-        obs.gauge("node.g.cost_ns").set(1_000_000);
-        let status = board("src->f;f->g", "src", "");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let m = model(vec![
+            src("src", 10_000.0),
+            ModelNode { selectivity: Some(0.1), ..op("f", &[0], 1_000.0, None) },
+            op("g", &[1], 1_000_000.0, None),
+        ]);
+        let report = analyze(&m, &[], &CapacityConfig::default());
         let f = report.nodes.iter().find(|x| x.name == "f").unwrap();
         let g = report.nodes.iter().find(|x| x.name == "g").unwrap();
         assert!((f.rate - 10_000.0).abs() < 1e-9, "f propagated from source");
         assert!((g.rate - 1_000.0).abs() < 1e-9, "g thinned by f's selectivity");
-        // No partitioning published: every operator is a station.
+        // No partitioning known: every operator is a station.
         assert!(f.station && g.station);
     }
 
@@ -837,15 +735,12 @@ mod tests {
     /// service time but no queueing wait.
     #[test]
     fn inline_nodes_do_not_queue() {
-        let obs = Obs::enabled();
-        obs.gauge("source.s.rate").set(100);
-        for n in ["a", "b"] {
-            obs.gauge(&format!("node.{n}.cost_ns")).set(1_000_000);
-            obs.gauge(&format!("node.{n}.rate")).set(100);
-        }
-        let status = board("s->a;a->b", "s", "a,b");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let m = model(vec![
+            src("s", 100.0),
+            ModelNode { partition: Some(0), ..op("a", &[0], 1_000_000.0, Some(100.0)) },
+            ModelNode { partition: Some(0), ..op("b", &[1], 1_000_000.0, Some(100.0)) },
+        ]);
+        let report = analyze(&m, &[], &CapacityConfig::default());
         let a = report.nodes.iter().find(|x| x.name == "a").unwrap();
         let b = report.nodes.iter().find(|x| x.name == "b").unwrap();
         assert!(a.station, "a heads the source-fed queue");
@@ -862,16 +757,13 @@ mod tests {
     #[test]
     fn clamps_overload_and_tracks_drift() {
         let obs = Obs::enabled();
-        obs.gauge("source.s.rate").set(1_000_000);
-        obs.gauge("node.op.cost_ns").set(1_000_000); // ρ = 1000 ≫ 1
-        obs.gauge("node.op.rate").set(1_000_000);
         let h = obs.histogram("egress.op.e2e_latency_ns");
         for _ in 0..100 {
             h.record(1_000_000);
         }
-        let status = board("s->op", "s", "");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        // ρ = 1000 ≫ 1
+        let m = model(vec![src("s", 1_000_000.0), op("op", &[0], 1_000_000.0, Some(1_000_000.0))]);
+        let report = analyze(&m, &obs.metrics_snapshot(), &CapacityConfig::default());
         let op = &report.nodes[0];
         assert!(op.rho > 1.0);
         assert!(op.wait_ns.is_finite() && op.wait_ns > 0.0);
@@ -885,13 +777,11 @@ mod tests {
 
     #[test]
     fn report_json_is_parseable_and_names_bottleneck() {
-        let obs = Obs::enabled();
-        obs.gauge("source.s.rate").set(500);
-        obs.gauge("node.hot.cost_ns").set(900_000);
-        obs.gauge("node.hot.rate").set(500);
-        let status = board("s->hot", "s", "hot");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let m = model(vec![
+            src("s", 500.0),
+            ModelNode { partition: Some(0), ..op("hot", &[0], 900_000.0, Some(500.0)) },
+        ]);
+        let report = analyze(&m, &[], &CapacityConfig::default());
         let body = report_json(&report, 1234);
         let doc = crate::json::parse(&body).expect("valid JSON");
         assert_eq!(doc.get("bottleneck").and_then(|b| b.as_str()), Some("hot"));
@@ -904,54 +794,43 @@ mod tests {
     #[test]
     fn install_publishes_capacity_gauges_surviving_collector_clears() {
         let obs = Obs::enabled();
-        obs.gauge("source.s.rate").set(100);
-        obs.gauge("node.x.cost_ns").set(2_000_000);
-        obs.gauge("node.x.rate").set(100);
-        let status = StatusBoard::default();
-        status.set("topology.edges", "s->x");
-        status.set("topology.sources", "s");
-        install(&obs, &status, CapacityConfig::default());
+        let m = model(vec![src("s", 100.0), op("x", &[0], 2_000_000.0, Some(100.0))]);
+        obs.set_graph_model(move || m.clone());
+        install(&obs, CapacityConfig::default());
         // A regular collector cleared by the engine must not take the
         // analyzer with it.
         obs.add_collector(|| {});
         obs.clear_collectors();
         obs.run_collectors();
-        let m = obs.metrics_snapshot();
-        let gauge = |name: &str| {
-            m.iter().find_map(|(n, v)| match v {
-                MetricValue::Gauge(g) if n == name => Some(*g),
-                _ => None,
-            })
-        };
-        let rho = gauge("capacity.node.x.rho_ppm").expect("rho gauge");
+        let rho = gauge(&obs, "capacity.node.x.rho_ppm").expect("rho gauge");
         assert!((rho - 200_000).abs() < 2_000, "ρ=0.2 → {rho} ppm");
-        assert!(gauge("capacity.max_rho_ppm").is_some());
-        assert!(gauge("capacity.headroom_ppm").unwrap() > 1_000_000);
-        assert!(gauge("capacity.max_sustainable_rate").unwrap() > 100);
+        assert!(gauge(&obs, "capacity.max_rho_ppm").is_some());
+        assert!(gauge(&obs, "capacity.headroom_ppm").unwrap() > 1_000_000);
+        assert!(gauge(&obs, "capacity.max_sustainable_rate").unwrap() > 100);
     }
 
-    /// Shard replicas (`agg[i]`) roll up under the logical node: the
-    /// report gains a `shards` entry, and `install` re-publishes the
-    /// hottest replica's ρ as `capacity.node.agg.rho_ppm` so a
-    /// `rho(agg)` alert rule survives the sharding rewrite unchanged.
+    /// src → agg.split → agg[0], agg[1] → agg.merge, with the replica
+    /// group recorded as a shard.
+    fn sharded_agg() -> GraphModel {
+        GraphModel {
+            nodes: vec![
+                src("src", 1_000.0),
+                op("agg.split", &[0], 100.0, Some(1_000.0)),
+                op("agg[0]", &[1], 500_000.0, Some(600.0)),
+                op("agg[1]", &[1], 500_000.0, Some(400.0)),
+                op("agg.merge", &[2, 3], 100.0, None),
+            ],
+            shards: vec![ModelShard { logical: "agg".into(), splitter: 1, replicas: vec![2, 3] }],
+        }
+    }
+
+    /// Shard replicas roll up under the logical node: the report gains a
+    /// `shards` entry, and `install` re-publishes the hottest replica's ρ
+    /// as `capacity.node.agg.rho_ppm` so a `rho(agg)` alert rule survives
+    /// the sharding rewrite unchanged.
     #[test]
     fn shard_replicas_roll_up_under_logical_node() {
-        let obs = Obs::enabled();
-        obs.gauge("source.src.rate").set(1_000);
-        obs.gauge("node.agg.split.cost_ns").set(100);
-        obs.gauge("node.agg.split.rate").set(1_000);
-        for (name, rate) in [("agg[0]", 600), ("agg[1]", 400)] {
-            obs.gauge(&format!("node.{name}.cost_ns")).set(500_000);
-            obs.gauge(&format!("node.{name}.rate")).set(rate);
-        }
-        obs.gauge("node.agg.merge.cost_ns").set(100);
-        let status = board(
-            "src->agg.split;agg.split->agg[0];agg.split->agg[1];agg[0]->agg.merge;agg[1]->agg.merge",
-            "src",
-            "",
-        );
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let report = analyze(&sharded_agg(), &[], &CapacityConfig::default());
 
         assert_eq!(report.shards.len(), 1);
         let s = &report.shards[0];
@@ -971,27 +850,14 @@ mod tests {
         assert_eq!(shards[0].get("display").and_then(|v| v.as_str()), Some("agg[0..2]"));
 
         // install() republishes under the logical name.
-        let status_board = StatusBoard::default();
-        for (k, v) in board(
-            "src->agg.split;agg.split->agg[0];agg.split->agg[1];agg[0]->agg.merge;agg[1]->agg.merge",
-            "src",
-            "",
-        ) {
-            status_board.set(k, v);
-        }
-        install(&obs, &status_board, CapacityConfig::default());
+        let obs = Obs::enabled();
+        obs.set_graph_model(sharded_agg);
+        install(&obs, CapacityConfig::default());
         obs.run_collectors();
-        let m = obs.metrics_snapshot();
-        let gauge = |name: &str| {
-            m.iter().find_map(|(n, v)| match v {
-                MetricValue::Gauge(g) if n == name => Some(*g),
-                _ => None,
-            })
-        };
-        let rho = gauge("capacity.node.agg.rho_ppm").expect("logical rho gauge");
+        let rho = gauge(&obs, "capacity.node.agg.rho_ppm").expect("logical rho gauge");
         assert!((rho - 300_000).abs() < 3_000, "max replica ρ=0.3 → {rho} ppm");
-        assert_eq!(gauge("capacity.shard.agg.replicas"), Some(2));
-        assert!(gauge("capacity.shard.agg.imbalance_ppm").unwrap() > 1_000_000);
+        assert_eq!(gauge(&obs, "capacity.shard.agg.replicas"), Some(2));
+        assert!(gauge(&obs, "capacity.shard.agg.imbalance_ppm").unwrap() > 1_000_000);
     }
 
     /// A splitter's propagated rate divides across its out-edges (it
@@ -999,41 +865,52 @@ mod tests {
     /// uniform share rather than the full input rate each.
     #[test]
     fn split_fanout_divides_propagated_rate() {
-        let obs = Obs::enabled();
-        obs.gauge("source.src.rate").set(1_000);
-        obs.gauge("node.f.split.rate").set(1_000);
-        for name in ["f[0]", "f[1]"] {
-            obs.gauge(&format!("node.{name}.cost_ns")).set(100_000);
-        }
-        let status = board("src->f.split;f.split->f[0];f.split->f[1]", "src", "");
-        let report =
-            analyze_status(&obs.metrics_snapshot(), &status, &CapacityConfig::default()).unwrap();
+        let m = GraphModel {
+            nodes: vec![
+                src("src", 1_000.0),
+                ModelNode {
+                    name: "f.split".into(),
+                    preds: vec![0],
+                    rate: Some(1_000.0),
+                    ..ModelNode::default()
+                },
+                op("f[0]", &[1], 100_000.0, None),
+                op("f[1]", &[1], 100_000.0, None),
+            ],
+            shards: vec![ModelShard { logical: "f".into(), splitter: 1, replicas: vec![2, 3] }],
+        };
+        let report = analyze(&m, &[], &CapacityConfig::default());
         for name in ["f[0]", "f[1]"] {
             let x = report.nodes.iter().find(|x| x.name == name).unwrap();
             assert!((x.rate - 500.0).abs() < 1e-9, "{name} rate: {}", x.rate);
         }
     }
 
+    /// Only a recorded shard group routes: an ordinary operator that
+    /// happens to be named `fan.split` copies its output to every
+    /// successor, so each gets the full propagated rate.
     #[test]
-    fn replica_name_parsing_is_strict() {
-        assert_eq!(parse_replica("agg[0]"), Some(("agg", 0)));
-        assert_eq!(parse_replica("a.b[12]"), Some(("a.b", 12)));
-        for bad in ["agg", "agg[]", "agg[x]", "[3]", "agg[1", "agg1]"] {
-            assert_eq!(parse_replica(bad), None, "{bad}");
+    fn unsharded_split_named_node_copies_full_rate() {
+        let m = model(vec![
+            src("src", 1_000.0),
+            ModelNode { rate: Some(1_000.0), ..op("fan.split", &[0], 1_000.0, None) },
+            op("a", &[1], 1_000.0, None),
+            op("b", &[1], 1_000.0, None),
+        ]);
+        let report = analyze(&m, &[], &CapacityConfig::default());
+        for name in ["a", "b"] {
+            let x = report.nodes.iter().find(|x| x.name == name).unwrap();
+            assert!((x.rate - 1_000.0).abs() < 1e-9, "{name} rate: {}", x.rate);
         }
+        assert!(report.shards.is_empty());
     }
 
     #[test]
-    fn no_topology_means_no_report() {
+    fn no_model_means_no_report() {
         let obs = Obs::enabled();
-        assert!(analyze_status(
-            &obs.metrics_snapshot(),
-            &BTreeMap::new(),
-            &CapacityConfig::default()
-        )
-        .is_none());
-        // install() on an unpublished board is inert but harmless.
-        install(&obs, &StatusBoard::default(), CapacityConfig::default());
+        assert!(obs.graph_model().is_none());
+        // install() without a registered model is inert but harmless.
+        install(&obs, CapacityConfig::default());
         obs.run_collectors();
         assert!(obs.metrics_snapshot().iter().all(|(n, _)| !n.starts_with("capacity.")));
     }

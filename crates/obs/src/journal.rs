@@ -1,11 +1,13 @@
 //! Bounded multi-producer event journal for scheduler decisions.
 //!
-//! A fixed-capacity ring of slots. Producers claim a slot with one atomic
-//! `fetch_add` on the write cursor and then store the record under that
-//! slot's own mutex, so concurrent emitters from different scheduler
-//! threads never contend unless they collide on the same slot (capacity
-//! collisions only). When the ring wraps, the oldest records are
-//! overwritten and counted as dropped — the journal never blocks or grows.
+//! Two fixed-capacity rings of slots, one for the high-rate scheduler
+//! records and one for every other event, so a busy worker pool cannot
+//! evict the rare control-plane records. Producers claim a global sequence
+//! number and a slot of their ring with one atomic `fetch_add` each, then
+//! store the record under that slot's own mutex, so concurrent emitters
+//! never contend unless they collide on the same slot. When a ring wraps,
+//! its oldest records are overwritten and counted as dropped — the
+//! journal never blocks or grows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -102,6 +104,19 @@ impl SchedEvent {
             SchedEvent::AlertCleared { .. } => "alert-cleared",
         }
     }
+
+    /// Whether the event is scheduler chatter, emitted per executor slice
+    /// rather than per control-plane decision. These records go to their
+    /// own journal ring.
+    pub fn is_high_rate(&self) -> bool {
+        matches!(
+            self,
+            SchedEvent::Dispatch { .. }
+                | SchedEvent::Yield { .. }
+                | SchedEvent::Preempt { .. }
+                | SchedEvent::AgingBoost { .. }
+        )
+    }
 }
 
 /// One journal entry: a [`SchedEvent`] plus ordering metadata.
@@ -119,14 +134,18 @@ pub struct EventRecord {
 /// Bounded MPSC event journal.
 #[derive(Debug)]
 pub struct EventJournal {
-    slots: Vec<Mutex<Option<EventRecord>>>,
-    cursor: AtomicU64,
-    dropped: AtomicU64,
+    /// Two rings of slots: `[0]` holds the high-rate scheduler records
+    /// ([`SchedEvent::is_high_rate`]), `[1]` every other event.
+    rings: [Vec<Mutex<Option<EventRecord>>>; 2],
+    cursors: [AtomicU64; 2],
+    dropped: [AtomicU64; 2],
+    seq: AtomicU64,
     start: Instant,
 }
 
 impl EventJournal {
-    /// Creates a journal holding at most `capacity` records.
+    /// Creates a journal whose two rings hold at most `capacity` records
+    /// each.
     pub fn new(capacity: usize) -> EventJournal {
         EventJournal::with_epoch(capacity, Instant::now())
     }
@@ -136,60 +155,70 @@ impl EventJournal {
     /// the same [`crate::Obs`] handle share one clock and can be merged
     /// onto one exported timeline.
     pub fn with_epoch(capacity: usize, epoch: Instant) -> EventJournal {
-        let capacity = capacity.max(1);
+        let ring = || (0..capacity.max(1)).map(|_| Mutex::new(None)).collect();
         EventJournal {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            rings: [ring(), ring()],
+            cursors: Default::default(),
+            dropped: Default::default(),
+            seq: AtomicU64::new(0),
             start: epoch,
         }
     }
 
     /// Appends an event; O(1), never blocks for long, overwrites the
-    /// oldest record when full.
+    /// oldest record of the event's ring when that ring is full.
     pub fn push(&self, event: SchedEvent) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let idx = (seq % self.slots.len() as u64) as usize;
+        let r = usize::from(!event.is_high_rate());
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let slots = &self.rings[r];
+        let idx = (self.cursors[r].fetch_add(1, Ordering::Relaxed) % slots.len() as u64) as usize;
         let record = EventRecord {
             seq,
             thread: thread_token(),
             elapsed_ns: self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             event,
         };
-        let mut slot = self.slots[idx].lock();
+        let mut slot = slots[idx].lock();
         if slot.is_some() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped[r].fetch_add(1, Ordering::Relaxed);
         }
         *slot = Some(record);
     }
 
     /// Total events ever pushed.
     pub fn pushed(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.seq.load(Ordering::Relaxed)
     }
 
-    /// Events overwritten before being part of any snapshot.
+    /// Events overwritten before being part of any snapshot, both rings.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped_per_ring().iter().sum()
     }
 
-    /// Ring capacity in records.
+    /// Events overwritten per ring: `[scheduler chatter, control plane]`.
+    pub fn dropped_per_ring(&self) -> [u64; 2] {
+        [0, 1].map(|r| self.dropped[r].load(Ordering::Relaxed))
+    }
+
+    /// Capacity of each ring in records.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.rings[0].len()
     }
 
-    /// High-water mark: the most slots ever occupied at once. For an
-    /// overwrite-oldest ring this is `min(pushed, capacity)` — once the
-    /// ring wraps it stays pinned at capacity, which is exactly the
-    /// saturation signal the registry metric wants to surface.
+    /// High-water mark: the most slots ever occupied at once in either
+    /// ring. For an overwrite-oldest ring this is `min(pushed, capacity)`
+    /// — once a ring wraps it stays pinned at capacity, which is exactly
+    /// the saturation signal the registry metric wants to surface.
     pub fn high_water(&self) -> u64 {
-        self.pushed().min(self.slots.len() as u64)
+        let cap = self.capacity() as u64;
+        self.cursors.iter().map(|c| c.load(Ordering::Relaxed).min(cap)).max().unwrap_or(0)
     }
 
-    /// The retained records, oldest first (by global sequence number).
+    /// The retained records of both rings, oldest first (by global
+    /// sequence number).
     pub fn snapshot(&self) -> Vec<EventRecord> {
         let mut out: Vec<EventRecord> =
-            self.slots.iter().filter_map(|s| s.lock().clone()).collect();
+            self.rings.iter().flatten().filter_map(|s| s.lock().clone()).collect();
         out.sort_by_key(|r| r.seq);
         out
     }
@@ -277,5 +306,28 @@ mod tests {
         // At least two distinct producer threads were recorded.
         let threads_seen: std::collections::HashSet<u64> = snap.iter().map(|r| r.thread).collect();
         assert!(threads_seen.len() >= 2);
+    }
+
+    /// Scheduler chatter lives in its own ring: a flood of dispatch and
+    /// yield records overwrites only its own kind, never the rare
+    /// control-plane records.
+    #[test]
+    fn control_events_survive_scheduler_flood() {
+        let j = EventJournal::new(4096);
+        j.push(SchedEvent::CheckpointComplete { id: 7, bytes: 64, duration_ms: 1 });
+        j.push(SchedEvent::AlertRaised { rule: "rho > 0.9".into(), value: 0.95 });
+        for d in 0..50_000usize {
+            j.push(SchedEvent::Dispatch { domain: d, worker: 0, priority: 0 });
+            j.push(SchedEvent::Yield { domain: d, outcome: "budget" });
+        }
+        let snap = j.snapshot();
+        let count = |kind: &str| snap.iter().filter(|r| r.event.kind() == kind).count();
+        assert_eq!(count("checkpoint-complete"), 1);
+        assert_eq!(count("alert-raised"), 1);
+        assert_eq!(snap.len(), 4096 + 2);
+        assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq), "merged by seq");
+        assert_eq!(j.pushed(), 100_002);
+        assert_eq!(j.dropped_per_ring(), [100_000 - 4096, 0]);
+        assert_eq!(j.dropped(), 100_000 - 4096);
     }
 }

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 pub use admin::{AdminServer, StatusBoard};
 pub use alert::{AlertEngine, AlertRule};
-pub use capacity::{CapacityConfig, CapacityReport, TopologySpec};
+pub use capacity::{CapacityConfig, CapacityReport, GraphModel, ModelNode, ModelShard};
 pub use journal::{EventJournal, EventRecord, SchedEvent};
 pub use registry::{Counter, Gauge, Histogram, Metric, MetricValue, MetricsRegistry};
 pub use sampler::{SamplePoint, SampleStore, Sampler};
@@ -40,7 +40,8 @@ pub use trace::{trace_id, HopKind, SpanEvent, TraceConfig, Tracer, NO_PARTITION}
 /// Configuration for an enabled [`Obs`] handle.
 #[derive(Clone, Debug, Default)]
 pub struct ObsConfig {
-    /// Ring capacity of the event journal (0 uses the default of 4096).
+    /// Capacity of each of the event journal's two rings (0 uses the
+    /// default of 4096).
     pub journal_capacity: usize,
     /// Per-tuple trace sampling; `None` (the default) disables tracing
     /// entirely, keeping the engine's per-element cost at one `Option`
@@ -75,7 +76,10 @@ impl ObsCore {
     /// collector because the engine clears collectors on teardown, and
     /// these gauges must survive that.
     fn refresh_runtime_metrics(&self) {
-        self.registry.gauge("journal.dropped").set(self.journal.dropped() as i64);
+        let [scheduler, control] = self.journal.dropped_per_ring();
+        self.registry.gauge("journal.dropped").set((scheduler + control) as i64);
+        self.registry.gauge("journal.dropped_scheduler").set(scheduler as i64);
+        self.registry.gauge("journal.dropped_control").set(control as i64);
         self.registry.gauge("journal.high_water").set(self.journal.high_water() as i64);
         self.registry.gauge("journal.capacity").set(self.journal.capacity() as i64);
         if let Some(t) = &self.tracer {
@@ -211,6 +215,23 @@ impl Obs {
         }
     }
 
+    /// Registers the provider of the live [`GraphModel`] read by the
+    /// capacity analyzer and the admin plane, replacing any earlier one
+    /// (no-op when disabled).
+    pub fn set_graph_model(&self, provider: impl Fn() -> GraphModel + Send + Sync + 'static) {
+        if let Some(core) = &self.0 {
+            *core.samples.model.lock() = Some(Arc::new(provider));
+        }
+    }
+
+    /// The current graph model; `None` when disabled or when no provider
+    /// is registered.
+    pub fn graph_model(&self) -> Option<GraphModel> {
+        // Call the provider outside the lock: it reads engine state.
+        let provider = self.0.as_ref()?.samples.model.lock().clone()?;
+        Some(provider())
+    }
+
     /// Runs registered collectors to refresh derived gauges, without
     /// recording a sample point (no-op when disabled).
     pub fn run_collectors(&self) {
@@ -338,9 +359,9 @@ mod tests {
         obs.sample_now();
 
         // The three explicit metrics plus the self-observability gauges
-        // (journal capacity / dropped / high-water).
+        // (journal capacity / dropped, total and per ring / high-water).
         let metrics = obs.metrics_snapshot();
-        assert_eq!(metrics.len(), 6);
+        assert_eq!(metrics.len(), 8);
         let gauge = |name: &str| {
             metrics
                 .iter()
@@ -352,6 +373,8 @@ mod tests {
         };
         assert_eq!(gauge("journal.capacity"), 4096);
         assert_eq!(gauge("journal.dropped"), 0);
+        assert_eq!(gauge("journal.dropped_scheduler"), 0);
+        assert_eq!(gauge("journal.dropped_control"), 0);
         assert_eq!(gauge("journal.high_water"), 1);
         let journal = obs.journal_snapshot();
         assert_eq!(journal.len(), 1);

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::capacity::GraphModel;
 use crate::registry::{MetricValue, MetricsRegistry};
 
 /// One sampler tick: elapsed time and every metric's value at that point.
@@ -22,7 +23,8 @@ pub struct SamplePoint {
     pub metrics: Vec<(String, MetricValue)>,
 }
 
-/// Shared sampling state: collectors plus the accumulated series.
+/// Shared sampling state: collectors, the graph-model provider, and the
+/// accumulated series.
 #[derive(Default)]
 pub struct SampleStore {
     collectors: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
@@ -31,6 +33,9 @@ pub struct SampleStore {
     /// unlike the engine's own queue/node collectors which capture state
     /// that a plan switch tears down.
     pinned: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
+    /// Builds the engine's current [`GraphModel`] on demand
+    /// ([`crate::Obs::set_graph_model`]).
+    pub(crate) model: Mutex<Option<Arc<dyn Fn() -> GraphModel + Send + Sync>>>,
     series: Mutex<Vec<SamplePoint>>,
 }
 
@@ -39,6 +44,7 @@ impl std::fmt::Debug for SampleStore {
         f.debug_struct("SampleStore")
             .field("collectors", &self.collectors.lock().len())
             .field("pinned", &self.pinned.lock().len())
+            .field("model", &self.model.lock().is_some())
             .field("samples", &self.series.lock().len())
             .finish()
     }

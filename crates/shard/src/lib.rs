@@ -29,9 +29,11 @@
 //!
 //! [`rewrite::shard_by_name`] performs the rewrite;
 //! [`rewrite::remap_partitioning`] carries an existing
-//! [`hmts_graph::partition::Partitioning`] across it. Node names follow
-//! the [`names`] scheme (`op.split`, `op[i]`, `op.merge`) — the only
-//! module in the workspace allowed to construct them.
+//! [`hmts_graph::partition::Partitioning`] across it. Each rewrite
+//! records the trio as a typed [`hmts_graph::ShardGroup`] on the graph,
+//! which is how the engine and the admin plane find replicas. Node names
+//! follow the [`names`] scheme (`op.split`, `op[i]`, `op.merge`) — the
+//! only module in the workspace allowed to construct them.
 
 pub mod merge;
 pub mod names;
@@ -44,7 +46,7 @@ pub use merge::OrderedMerge;
 pub use partitioner::HashPartitioner;
 pub use replica::ShardReplica;
 pub use rewrite::{
-    remap_partitioning, shard_by_name, shard_node, ShardError, ShardRewrite, ShardSpec, ShardedNode,
+    remap_partitioning, shard_by_name, shard_node, ShardError, ShardRewrite, ShardSpec,
 };
 pub use split::ShardSplit;
 
@@ -54,6 +56,7 @@ mod rewrite_tests {
 
     use hmts_graph::graph::{NodeKind, QueryGraph};
     use hmts_graph::partition::Partitioning;
+    use hmts_graph::topology::Topology;
     use hmts_operators::aggregate::{AggregateFunction, WindowAggregate};
     use hmts_operators::expr::Expr;
     use hmts_operators::filter::Filter;
@@ -98,7 +101,7 @@ mod rewrite_tests {
         let rw = shard_by_name(chain(), "agg", &ShardSpec::auto(3)).unwrap();
         let g = &rw.graph;
         assert_eq!(g.node_count(), 3 + 3 + 2); // src/pre/post + replicas + split/merge
-        let sh = rw.sharded.values().next().unwrap();
+        let sh = rw.group();
         assert_eq!(g.node(sh.split).name, names::split("agg"));
         assert_eq!(g.node(sh.merge).name, names::merge("agg"));
         for (i, r) in sh.replicas.iter().enumerate() {
@@ -159,6 +162,36 @@ mod rewrite_tests {
         ));
     }
 
+    /// A second rewrite keeps the first one's group, with its ids moved
+    /// to the new graph, and both groups reach the engine's [`Topology`].
+    #[test]
+    fn second_rewrite_remaps_recorded_groups() {
+        let rw1 = shard_by_name(chain(), "agg", &ShardSpec::auto(2)).unwrap();
+        let rw2 = shard_by_name(rw1.graph, "pre", &ShardSpec::on_key(3, Expr::field(0))).unwrap();
+        let g = &rw2.graph;
+        let topo = Topology::of(g);
+        let groups = topo.shard_groups();
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups, g.shard_groups());
+
+        let agg = &groups[0];
+        assert_eq!(agg.logical, "agg");
+        assert_eq!(g.node(agg.split).name, names::split("agg"));
+        assert_eq!(g.node(agg.merge).name, names::merge("agg"));
+        let replicas: Vec<&str> = agg.replicas.iter().map(|&r| g.node(r).name.as_str()).collect();
+        assert_eq!(replicas, ["agg[0]", "agg[1]"]);
+
+        let pre = &groups[1];
+        assert_eq!(pre, rw2.group());
+        assert_eq!(pre.logical, "pre");
+        assert_eq!(g.node(pre.split).name, names::split("pre"));
+        assert_eq!(pre.replicas.len(), 3);
+        assert_eq!(g.out_edges(pre.merge).next().map(|e| e.to), Some(agg.split));
+
+        let (decomposed, _) = rw2.graph.decompose();
+        assert_eq!(decomposed.shard_groups(), groups);
+    }
+
     #[test]
     fn partitioning_remap_places_trio_for_parallelism() {
         let g = chain();
@@ -166,7 +199,7 @@ mod rewrite_tests {
             g.nodes().iter().map(|n| (n.name.clone(), n.id)).collect();
         let p = Partitioning::new(vec![vec![ids["pre"]], vec![ids["agg"], ids["post"]]]);
         let rw = shard_by_name(g, "agg", &ShardSpec::auto(2)).unwrap();
-        let sh = rw.sharded.values().next().unwrap().clone();
+        let sh = rw.group().clone();
         let remapped = remap_partitioning(&p, &rw);
         // pre's group gained the splitter; agg's group swapped agg→merge;
         // each replica is a singleton group.

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use hmts_graph::graph::{NodeId, NodeKind, QueryGraph};
+use hmts_graph::graph::{NodeId, NodeKind, QueryGraph, ShardGroup};
 use hmts_graph::partition::Partitioning;
 use hmts_operators::expr::Expr;
 use hmts_operators::traits::Operator;
@@ -86,28 +86,23 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// The rewritten trio replacing one sharded node.
-#[derive(Debug, Clone)]
-pub struct ShardedNode {
-    /// The splitter node (new graph).
-    pub split: NodeId,
-    /// The replica nodes, shard index order (new graph).
-    pub replicas: Vec<NodeId>,
-    /// The merge node (new graph).
-    pub merge: NodeId,
-    /// The sharded node's predecessor (old graph) — used to place the
-    /// splitter with the producer when remapping a [`Partitioning`].
-    pub pred_old: NodeId,
-}
-
 /// The result of one sharding rewrite.
 pub struct ShardRewrite {
-    /// The rewritten graph.
+    /// The rewritten graph; the last of its shard groups is the trio that
+    /// replaced the target ([`ShardRewrite::group`]).
     pub graph: QueryGraph,
     /// Old id → new id for every surviving (unsharded) node.
     pub node_map: HashMap<NodeId, NodeId>,
-    /// Old id of the sharded node → its replacement trio.
-    pub sharded: HashMap<NodeId, ShardedNode>,
+    /// Old id of the sharded node.
+    pub target: NodeId,
+}
+
+impl ShardRewrite {
+    /// The splitter, replicas and merge that replaced the target (new
+    /// graph ids).
+    pub fn group(&self) -> &ShardGroup {
+        self.graph.shard_groups().last().expect("every rewrite records its group")
+    }
 }
 
 /// Rewrites `name` in `graph` according to `spec`. Consumes the graph:
@@ -161,6 +156,7 @@ pub fn shard_node(
 
     let out_edges: Vec<_> = graph.out_edges(target).copied().collect();
     let old_edges: Vec<_> = graph.edges().to_vec();
+    let old_groups: Vec<ShardGroup> = graph.shard_groups().to_vec();
 
     // Rebuild the graph: surviving nodes first (in old id order, keeping
     // names stable), then the trio.
@@ -212,9 +208,18 @@ pub fn shard_node(
         new.connect_port(merge, node_map[&e.to], e.to_port);
     }
 
-    let mut sharded = HashMap::new();
-    sharded.insert(target, ShardedNode { split, replicas, merge, pred_old });
-    Ok(ShardRewrite { graph: new, node_map, sharded })
+    // Groups of earlier rewrites carry over with remapped ids; one that
+    // contains the target itself no longer exists as recorded.
+    for g in old_groups {
+        let map = |id: &NodeId| node_map.get(id).copied();
+        let replicas: Option<Vec<NodeId>> = g.replicas.iter().map(map).collect();
+        if let (Some(split), Some(replicas), Some(merge)) = (map(&g.split), replicas, map(&g.merge))
+        {
+            new.add_shard_group(ShardGroup { logical: g.logical, split, replicas, merge });
+        }
+    }
+    new.add_shard_group(ShardGroup { logical: name, split, replicas, merge });
+    Ok(ShardRewrite { graph: new, node_map, target })
 }
 
 /// Carries a [`Partitioning`] over a rewrite:
@@ -232,13 +237,14 @@ pub fn shard_node(
 ///   replica→merge edges cross partitions and therefore get queues, which
 ///   is exactly what makes the replicas run in parallel.
 pub fn remap_partitioning(p: &Partitioning, rw: &ShardRewrite) -> Partitioning {
+    let sh = rw.group();
     let mut groups: Vec<Vec<NodeId>> = p
         .groups()
         .iter()
         .map(|g| {
             g.iter()
                 .filter_map(|id| {
-                    if let Some(sh) = rw.sharded.get(id) {
+                    if *id == rw.target {
                         Some(sh.merge)
                     } else {
                         rw.node_map.get(id).copied()
@@ -247,16 +253,13 @@ pub fn remap_partitioning(p: &Partitioning, rw: &ShardRewrite) -> Partitioning {
                 .collect()
         })
         .collect();
-    for sh in rw.sharded.values() {
-        let pred_new = rw.node_map.get(&sh.pred_old).copied();
-        let producer_group = pred_new.and_then(|p| groups.iter_mut().find(|g| g.contains(&p)));
-        match producer_group {
-            Some(g) => g.push(sh.split),
-            None => groups.push(vec![sh.split]),
-        }
-        for r in &sh.replicas {
-            groups.push(vec![*r]);
-        }
+    let producer = rw.graph.in_edges(sh.split).next().map(|e| e.from);
+    match producer.and_then(|p| groups.iter_mut().find(|g| g.contains(&p))) {
+        Some(g) => g.push(sh.split),
+        None => groups.push(vec![sh.split]),
+    }
+    for r in &sh.replicas {
+        groups.push(vec![*r]);
     }
     groups.retain(|g| !g.is_empty());
     Partitioning::new(groups)

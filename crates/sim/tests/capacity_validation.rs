@@ -12,8 +12,7 @@
 //! accuracy envelope from DESIGN.md §8.2.
 
 use hmts_graph::cost::CostGraph;
-use hmts_obs::capacity::{analyze, CapacityConfig, TopologySpec};
-use hmts_obs::registry::MetricValue;
+use hmts_obs::capacity::{analyze, CapacityConfig, GraphModel, ModelNode};
 use hmts_sim::{simulate, SimConfig, SimPolicy, SplitMix64};
 
 /// Poisson arrival schedule: exponential gaps at `rate` el/s.
@@ -44,6 +43,25 @@ fn ideal_machine(cores: usize) -> SimConfig {
     }
 }
 
+/// The source node `src` emitting at `rate` el/s.
+fn source(rate: f64) -> ModelNode {
+    ModelNode { name: "src".into(), source: true, rate: Some(rate), ..ModelNode::default() }
+}
+
+/// An operator fed by node `pred`, costing `cost_s` seconds per element
+/// (measured in whole nanoseconds, as the engine's cost cells report it),
+/// with selectivity 1.
+fn operator(name: &str, pred: usize, cost_s: f64, partition: Option<usize>) -> ModelNode {
+    ModelNode {
+        name: name.into(),
+        preds: vec![pred],
+        partition,
+        cost_ns: Some((cost_s * 1e9) as i64 as f64),
+        selectivity: Some(1.0),
+        ..ModelNode::default()
+    }
+}
+
 #[test]
 fn mg1_prediction_matches_simulated_tandem_queue() {
     // source (8000/s) -> a (80us) -> b (50us): rho_a = 0.64, rho_b = 0.40.
@@ -62,22 +80,18 @@ fn mg1_prediction_matches_simulated_tandem_queue() {
     let sim_mean = sim.latency_mean().expect("mean");
     let sim_p99 = sim.latency_quantile(0.99).expect("p99");
 
-    // Feed the analyzer the same facts the live engine would publish.
-    let metrics: Vec<(String, MetricValue)> = vec![
-        ("source.src.rate".into(), MetricValue::Gauge(rate as i64)),
-        ("node.a.cost_ns".into(), MetricValue::Gauge((cost_a * 1e9) as i64)),
-        ("node.a.selectivity_ppm".into(), MetricValue::Gauge(1_000_000)),
-        ("node.b.cost_ns".into(), MetricValue::Gauge((cost_b * 1e9) as i64)),
-        ("node.b.selectivity_ppm".into(), MetricValue::Gauge(1_000_000)),
-    ];
-    let topo = TopologySpec {
-        edges: vec![("src".into(), "a".into()), ("a".into(), "b".into())],
-        sources: vec!["src".into()],
-        // OTS: every operator its own partition, so both are stations.
-        partitions: vec![vec!["a".into()], vec!["b".into()]],
+    // Feed the analyzer the same facts the live engine would measure.
+    // OTS: every operator its own partition, so both are stations.
+    let model = GraphModel {
+        nodes: vec![
+            source(rate),
+            operator("a", 0, cost_a, Some(0)),
+            operator("b", 1, cost_b, Some(1)),
+        ],
+        shards: Vec::new(),
     };
     let cfg = CapacityConfig { service_cv2: 0.0, ..CapacityConfig::default() };
-    let report = analyze(&metrics, &topo, &cfg);
+    let report = analyze(&model, &[], &cfg);
 
     assert_eq!(report.bottleneck.as_deref(), Some("a"));
     assert!((report.max_rho - 0.64).abs() < 0.02, "max_rho {}", report.max_rho);
@@ -116,18 +130,12 @@ fn prediction_tracks_load_sweep() {
         let sim = simulate(&g, &[schedule], &SimPolicy::ots(&g), &ideal_machine(1));
         let sim_mean = sim.latency_mean().expect("mean");
 
-        let metrics: Vec<(String, MetricValue)> = vec![
-            ("source.src.rate".into(), MetricValue::Gauge(rate as i64)),
-            ("node.op.cost_ns".into(), MetricValue::Gauge((cost * 1e9) as i64)),
-            ("node.op.selectivity_ppm".into(), MetricValue::Gauge(1_000_000)),
-        ];
-        let topo = TopologySpec {
-            edges: vec![("src".into(), "op".into())],
-            sources: vec!["src".into()],
-            partitions: vec![vec!["op".into()]],
+        let model = GraphModel {
+            nodes: vec![source(rate), operator("op", 0, cost, Some(0))],
+            shards: Vec::new(),
         };
         let cfg = CapacityConfig { service_cv2: 0.0, ..CapacityConfig::default() };
-        let report = analyze(&metrics, &topo, &cfg);
+        let report = analyze(&model, &[], &cfg);
         let pred_mean = report.paths[0].mean_ns * 1e-9;
         let err = (pred_mean - sim_mean).abs() / sim_mean;
         assert!(

@@ -41,10 +41,10 @@ if [ -n "$violations" ]; then
 fi
 
 echo "==> replica-name grep gate (no \"base[i]\" construction outside crates/shard)"
-# Shard replica node IDs ("agg[0]", "agg[1].split", ...) are a protocol:
-# checkpoint blobs are keyed by them and the obs plane parses them back
-# into logical groups. The ONLY constructor is hmts-shard's names
-# module; everything else must parse via obs::capacity::parse_replica.
+# Shard replica node IDs ("agg[0]", "agg.split", ...) key the checkpoint
+# blobs, so a recovered run must mint exactly the same names. The ONLY
+# constructor is hmts-shard's names module. Replica groups travel as
+# typed ShardGroup metadata, so nothing needs to parse the names back.
 # The gate rejects the construction idiom `format!("...{x}[{i}]...")`.
 violations=$(
   for f in crates/*/src/*.rs crates/*/src/**/*.rs; do
@@ -108,6 +108,12 @@ for target in /metrics /healthz /analyze; do
   if [ "$status" != 200 ] || [ "$bytes" -eq 0 ]; then
     echo "error: GET $target -> status ${status:-none}, $bytes body bytes"
     printf '%s\n' "$resp"
+    exit 1
+  fi
+  # The engine registers its graph model itself: an /analyze stub means
+  # the analyzer never saw the running plan.
+  if [ "$target" = /analyze ] && printf '%s' "$body" | grep -q '"topology":false'; then
+    echo "error: GET /analyze returned the no-model stub: $body"
     exit 1
   fi
   case "$target" in

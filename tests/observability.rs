@@ -115,3 +115,67 @@ fn default_engine_config_keeps_observability_off() {
     assert!(report.errors.is_empty());
     assert_eq!(handle.count(), 250);
 }
+
+/// `GET /analyze` body from an admin endpoint.
+fn analyze(addr: std::net::SocketAddr) -> hmts::obs::json::Json {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect admin");
+    write!(stream, "GET /analyze HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let body = raw.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or_default();
+    hmts::obs::json::parse(body).unwrap_or_else(|e| panic!("{e}: {raw}"))
+}
+
+/// `/analyze`'s partitions as sorted member-name lists.
+fn partitions(doc: &hmts::obs::json::Json) -> Vec<Vec<String>> {
+    let parts = doc.get("partitions").and_then(|p| p.as_arr()).expect("partitions");
+    let mut out: Vec<Vec<String>> = parts
+        .iter()
+        .map(|p| {
+            let nodes = p.get("nodes").and_then(|n| n.as_arr()).expect("members");
+            let mut names: Vec<String> =
+                nodes.iter().map(|n| n.as_str().expect("name").to_string()).collect();
+            names.sort();
+            names
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The engine keeps the admin plane's graph model current by itself:
+/// after a runtime `switch_plan` and a queue insertion, with no call from
+/// the host, `/analyze` reports the running plan's partitions.
+#[test]
+fn analyze_partitions_follow_rewiring_without_host_call() {
+    let (graph, handle) = paced_graph(6_000, 20_000.0);
+    let topo = Topology::of(&graph);
+    let obs = Obs::enabled();
+    let cfg = EngineConfig { obs: obs.clone(), ..EngineConfig::default() };
+    let mut engine = Engine::with_config(graph, ExecutionPlan::gts(&topo, StrategyKind::Fifo), cfg)
+        .expect("engine builds");
+    let admin =
+        hmts::obs::AdminServer::bind("127.0.0.1:0", obs.clone(), hmts::obs::StatusBoard::default())
+            .expect("bind admin");
+    let names = |groups: &[&[&str]]| -> Vec<Vec<String>> {
+        groups.iter().map(|g| g.iter().map(|n| n.to_string()).collect()).collect()
+    };
+    let gts = names(&[&["keep_even"], &["out"], &["pass"]]);
+    assert_eq!(partitions(&analyze(admin.addr())), gts, "model registered at construction");
+
+    engine.start().expect("engine starts");
+    std::thread::sleep(Duration::from_millis(30));
+    let ops = topo.operators();
+    let part = Partitioning::new(vec![vec![ops[0]], vec![ops[1], ops[2]]]);
+    engine.switch_plan(ExecutionPlan::hmts(part, StrategyKind::Fifo, 2)).expect("runtime switch");
+    let hmts = names(&[&["keep_even"], &["out", "pass"]]);
+    assert_eq!(partitions(&analyze(admin.addr())), hmts, "after switch_plan");
+
+    assert!(engine.insert_queue(ops[1], ops[2]).expect("insert queue"));
+    assert_eq!(partitions(&analyze(admin.addr())), gts, "after insert_queue");
+
+    let report = engine.wait();
+    assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
+    assert_eq!(handle.count(), 3_000);
+}
