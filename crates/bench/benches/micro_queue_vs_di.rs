@@ -73,7 +73,7 @@ fn queue_transfer(c: &mut Criterion) {
                 slots,
                 vec![],
                 StrategyKind::Fifo.build(None),
-                ExecConfig { batch: 1, measure: false },
+                ExecConfig { batch: 1 },
             );
             b.iter(|| {
                 exec.inject(NodeId(0), 0, black_box(data(7)));
@@ -108,7 +108,7 @@ fn queue_transfer(c: &mut Criterion) {
             slots,
             inputs,
             StrategyKind::Fifo.build(None),
-            ExecConfig { batch: 1, measure: false },
+            ExecConfig { batch: 1 },
         );
         let budget = Budget::unlimited();
         b.iter_batched(
@@ -140,7 +140,7 @@ fn queue_transfer(c: &mut Criterion) {
             slots,
             vec![],
             StrategyKind::Fifo.build(None),
-            ExecConfig { batch: 1, measure: true },
+            ExecConfig { batch: 1 },
         );
         b.iter(|| {
             exec.inject(NodeId(0), 0, black_box(data(7)));

@@ -79,7 +79,8 @@ pub struct SlotInit {
     pub closed: bool,
     /// Output routing, one entry per out-edge.
     pub targets: Vec<Target>,
-    /// Shared statistics cell, if measurement is enabled.
+    /// Shared statistics cell, if measurement is enabled (`None` skips
+    /// cost timing and statistics for this slot).
     pub stats: Option<SharedNodeStats>,
     /// Per-operator invocation latency histogram, if observability is
     /// enabled (see `hmts_obs`). `None` keeps the hot path free of timing.
@@ -192,6 +193,9 @@ pub enum RunOutcome {
 /// The cost model times one operator invocation in this many per slot,
 /// starting with the first: two clock reads cost about as much as a cheap
 /// operator, and `c(v)` is a smoothed mean that sampling does not bias.
+/// Only slots with a stats cell are timed for the cost model; the processed
+/// count, selectivity and arrival statistics still see every invocation,
+/// and an attached latency histogram still times every one.
 const COST_SAMPLE_EVERY: u64 = 16;
 
 /// Executor configuration.
@@ -199,17 +203,11 @@ const COST_SAMPLE_EVERY: u64 = 16;
 pub struct ExecConfig {
     /// Messages popped per strategy decision.
     pub batch: usize,
-    /// Whether to time operator invocations for the runtime cost model.
-    /// Only one invocation in 16 per operator is timed, starting with the
-    /// first; the processed count, selectivity and arrival statistics
-    /// still see every invocation, and an attached latency histogram
-    /// still times every one.
-    pub measure: bool,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        ExecConfig { batch: 32, measure: true }
+        ExecConfig { batch: 32 }
     }
 }
 
@@ -544,8 +542,7 @@ impl DomainExecutor {
         let slot = &mut self.slots[i];
         let sampled = slot.invocations % COST_SAMPLE_EVERY == 0;
         slot.invocations += 1;
-        let measure =
-            (self.cfg.measure && sampled && slot.stats.is_some()) || slot.latency.is_some();
+        let measure = (sampled && slot.stats.is_some()) || slot.latency.is_some();
         // One non-zero branch for unsampled tuples; span recording (and
         // its site clone) happens only for the sampled 1-in-N.
         let tag = el.trace;

@@ -76,7 +76,7 @@ pub struct EngineConfig {
     pub aging_rate: f64,
     /// Measure per-operator cost / selectivity / arrival statistics. The
     /// cost is timed on one invocation in 16 per operator (see
-    /// [`ExecConfig::measure`]); the other statistics count every element.
+    /// [`SlotInit::stats`]); the other statistics count every element.
     pub measure_stats: bool,
     /// Sample total queued elements into a time series at this interval
     /// (the paper's Fig. 9 "memory usage" curve). `None` disables.
@@ -849,7 +849,7 @@ impl Engine {
                 slots,
                 inputs,
                 strategy,
-                ExecConfig { batch: self.cfg.batch, measure: self.cfg.measure_stats },
+                ExecConfig { batch: self.cfg.batch },
             );
             if let Some(tracer) = self.cfg.obs.tracer() {
                 exec.set_tracer(tracer, d as u32);

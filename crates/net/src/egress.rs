@@ -90,9 +90,8 @@ impl EgressServer {
         let state = Arc::clone(&server.state);
         let stop = Arc::clone(&server.stop);
         let gauge = server.obs.gauge("net_egress_subscribers");
-        let handle = std::thread::Builder::new()
-            .name("net-egress-accept".into())
-            .spawn(move || {
+        let handle =
+            std::thread::Builder::new().name("net-egress-accept".into()).spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((socket, peer)) => {
@@ -107,8 +106,7 @@ impl EgressServer {
                         Err(_) => break,
                     }
                 }
-            })
-            .expect("spawn egress accept thread");
+            })?;
         *server.accept_thread.lock() = Some(handle);
         Ok(server)
     }

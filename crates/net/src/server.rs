@@ -242,8 +242,7 @@ impl IngestServer {
         let obs = server.obs.clone();
         let handle = std::thread::Builder::new()
             .name("net-ingest-accept".into())
-            .spawn(move || accept_loop(listener, streams, stats, stop, obs, opts))
-            .expect("spawn accept thread");
+            .spawn(move || accept_loop(listener, streams, stats, stop, obs, opts))?;
         *server.accept_thread.lock() = Some(handle);
         Ok(server)
     }

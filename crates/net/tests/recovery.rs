@@ -160,7 +160,11 @@ fn killed_engine_recovers_and_clients_resume_exactly_once() {
 
     let store = CheckpointStore::new(&dir, 3);
     let deadline = Instant::now() + Duration::from_secs(20);
-    while store.latest_id().ok().flatten().unwrap_or(0) < 1 {
+    // Wait for a checkpoint whose cut includes at least one ingested
+    // tuple: the first one can complete before the client's first frame.
+    let cut_offset =
+        || store.load_latest().ok().flatten().and_then(|ck| ck.source_offset(STREAM)).unwrap_or(0);
+    while cut_offset() < 1 {
         assert!(Instant::now() < deadline, "no completed checkpoint within 20 s");
         std::thread::sleep(Duration::from_millis(1));
     }

@@ -30,7 +30,6 @@ pub mod dedup;
 pub mod expr;
 pub mod filter;
 pub mod join;
-pub mod latency;
 pub mod map;
 pub mod project;
 pub mod pull;
@@ -46,7 +45,6 @@ pub use dedup::Dedup;
 pub use expr::{CmpOp, Expr};
 pub use filter::Filter;
 pub use join::{JoinCondition, SymmetricHashJoin, SymmetricNestedLoopsJoin};
-pub use latency::{LatencyHistogram, LatencySink};
 pub use map::Map;
 pub use project::{MapExpr, Project};
 pub use pull::{PullFilter, PullOperator, PullProject, PullResult, PushAsPull, QueueLeaf};
