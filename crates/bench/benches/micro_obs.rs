@@ -10,15 +10,16 @@
 //! hook must cost one tag test when the tuple is untraced. Before the
 //! timed benches run, `main` uses a counting global allocator to assert
 //! the disabled and unsampled hook paths perform **zero allocations** —
-//! the acceptance bound of the tracing tentpole. The `hmts-obs` unit test
-//! `disabled_path_is_near_zero_cost` asserts the journal-side bound
-//! (< 50 ns) without criterion.
+//! the acceptance bound of the tracing tentpole — and that the per-node
+//! statistics cell's `observe` does not allocate either. The `hmts-obs`
+//! unit test `disabled_path_is_near_zero_cost` asserts the journal-side
+//! bound (< 50 ns) without criterion.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, Criterion, Throughput};
 use hmts::chaos::{FaultAction, FaultPlan, OperatorFaultState};
@@ -26,7 +27,9 @@ use hmts::checkpoint::CheckpointShared;
 use hmts::obs::alert::{AlertEngine, AlertRule};
 use hmts::obs::capacity::{self, CapacityConfig};
 use hmts::obs::{trace_id, Histogram, HopKind, Obs, SchedEvent, TraceConfig, Tracer, NO_PARTITION};
+use hmts::stats::NodeStats;
 use hmts::streams::element::TraceTag;
+use hmts::streams::time::Timestamp;
 
 /// A pass-through allocator that counts allocation calls so the harness
 /// can prove the untraced hot path never touches the heap.
@@ -256,6 +259,23 @@ fn assert_disabled_alert_and_capacity_paths_allocate_nothing() {
     println!("capacity/alert disabled path: 0 allocations over {N} evaluation rounds\n");
 }
 
+/// The statistics-cell analogue: every processed element updates its
+/// node's lock-free cell (measurement is on by default), so the update
+/// must stay off the heap — timed or not.
+fn assert_stats_cell_allocates_nothing() {
+    const N: u64 = 100_000;
+    let cell = NodeStats::default();
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for i in 0..N {
+        let cost = (i % 64 == 0).then(|| Duration::from_nanos(i));
+        cell.observe(black_box(Timestamp::from_micros(i)), cost, i % 2);
+    }
+    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(allocs, 0, "NodeStats::observe must not allocate");
+    assert_eq!(cell.read().processed, N);
+    println!("stats cell: 0 allocations over {N} observed elements\n");
+}
+
 /// The SLO-accounting analogue of the tracing bound: the egress
 /// delivery hook and the source admission-tag hook must stay off the
 /// heap when observability is disabled, and when enabled-but-unsampled.
@@ -451,5 +471,6 @@ fn main() {
     assert_chaos_hook_allocates_nothing();
     assert_checkpoint_hook_allocates_nothing();
     assert_disabled_alert_and_capacity_paths_allocate_nothing();
+    assert_stats_cell_allocates_nothing();
     benches();
 }

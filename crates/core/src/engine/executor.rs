@@ -18,7 +18,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hmts_graph::graph::NodeId;
 use hmts_obs::{Histogram, HopKind, Tracer};
@@ -380,9 +380,7 @@ impl DomainExecutor {
             while let Some((node, port, msg)) = self.stack.pop() {
                 let Some(&i) = self.index.get(&node) else {
                     // Routing bug; record once and drop.
-                    if self.error.is_none() {
-                        self.error = Some(StreamError::Other(format!("no slot for node {node}")));
-                    }
+                    self.set_error(StreamError::Other(format!("no slot for node {node}")));
                     continue;
                 };
                 if self.slots[i].closed {
@@ -580,7 +578,7 @@ impl DomainExecutor {
                     self.corrupt_outputs();
                 }
                 if let Some(stats) = &self.slots[i].stats {
-                    stats.lock().observe(el.ts, cost, self.out.len() as u64);
+                    stats.observe(el.ts, cost, self.out.len() as u64);
                 }
                 if let (Some(h), Some(c)) = (&self.slots[i].latency, cost) {
                     h.record_duration(c);
@@ -594,9 +592,7 @@ impl DomainExecutor {
             }
             Ok(Err(e)) => {
                 self.out.clear();
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
+                self.set_error(e);
             }
             Err(payload) => {
                 self.out.clear();
@@ -631,48 +627,33 @@ impl DomainExecutor {
     /// while processing `el`. Without a supervisor the operator is closed
     /// and the panic surfaces via [`take_panics`](DomainExecutor::take_panics).
     fn handle_panic(&mut self, i: usize, port: usize, el: Element, msg: String) {
-        let operator = self.slots[i].op.name().to_string();
-        match self.supervisor.as_ref().map(|s| s.on_panic(&operator, &msg)) {
-            Some(Verdict::Restart { backoff, .. }) => {
-                std::thread::sleep(backoff);
-                // Roll the operator back to its last checkpointed state
-                // (when checkpointing is on and it has snapshotted before),
-                // so a panic that corrupted in-memory state does not leak
-                // into the retry. A failed restore keeps the current state
-                // — the retry still proceeds, matching the pre-checkpoint
-                // behaviour.
-                if let Some(ck) = self.checkpoint.clone() {
-                    if let Some((ckpt_id, blob)) = ck.latest_blob(&operator) {
-                        if let Some(st) = self.slots[i].op.stateful() {
-                            if st.restore(blob).is_ok() {
-                                // The rollback silently drops everything
-                                // this operator processed since the
-                                // checkpoint (nothing replays at this
-                                // layer), so make the regression
-                                // observable.
-                                ck.note_rollback(&operator, ckpt_id);
-                            }
-                        }
+        let Some(backoff) = self.book_panic(i, msg) else {
+            return;
+        };
+        std::thread::sleep(backoff);
+        // Roll the operator back to its last checkpointed state (when
+        // checkpointing is on and it has snapshotted before), so a panic
+        // that corrupted in-memory state does not leak into the retry. A
+        // failed restore keeps the current state — the retry still
+        // proceeds, matching the pre-checkpoint behaviour.
+        if let Some(ck) = self.checkpoint.clone() {
+            let operator = self.slots[i].op.name().to_string();
+            if let Some((ckpt_id, blob)) = ck.latest_blob(&operator) {
+                if let Some(st) = self.slots[i].op.stateful() {
+                    if st.restore(blob).is_ok() {
+                        // The rollback silently drops everything this
+                        // operator processed since the checkpoint (nothing
+                        // replays at this layer), so make the regression
+                        // observable.
+                        ck.note_rollback(&operator, ckpt_id);
                     }
                 }
-                // Retry the failed element next (LIFO): input order for
-                // this operator is preserved because its outputs were
-                // discarded and nothing downstream saw the element.
-                self.stack.push((self.slots[i].node, port, Message::Data(el)));
-            }
-            Some(Verdict::Quarantine { failures }) => {
-                if self.error.is_none() {
-                    self.error = Some(StreamError::Other(format!(
-                        "operator '{operator}' quarantined after {failures} failures: {msg}"
-                    )));
-                }
-                self.close_slot(i);
-            }
-            Some(Verdict::Fail) | None => {
-                self.panics.push((operator, msg));
-                self.close_slot(i);
             }
         }
+        // Retry the failed element next (LIFO): input order for this
+        // operator is preserved because its outputs were discarded and
+        // nothing downstream saw the element.
+        self.stack.push((self.slots[i].node, port, Message::Data(el)));
     }
 
     /// Closes slot `i` after a terminal panic: downstream operators get a
@@ -705,53 +686,16 @@ impl DomainExecutor {
             // Give the operator a chance to release anything gated on this
             // port's progress (the shard merge's held-back sequences)
             // before the port is booked closed.
-            let result = {
-                let slot = &mut self.slots[i];
-                let out = &mut self.out;
-                catch_unwind(AssertUnwindSafe(|| slot.op.on_eos(port, out)))
-            };
-            match result {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    self.out.clear();
-                    if self.error.is_none() {
-                        self.error = Some(e);
-                    }
-                }
-                Err(payload) => {
-                    // Like flush/watermark handlers, on_eos is never
-                    // retried (there is no element to redeliver).
-                    self.out.clear();
-                    self.record_unretryable_panic(i, panic_message(payload.as_ref()));
-                }
-            }
+            self.guarded_hook(i, |op, out| op.on_eos(port, out));
             self.deliver_outputs(i);
         }
         if !self.slots[i].eos.close(port) {
             return;
         }
-        // Last port closed: flush, deliver, forward EOS, close.
-        let result = {
-            let slot = &mut self.slots[i];
-            let out = &mut self.out;
-            catch_unwind(AssertUnwindSafe(|| slot.op.flush(out)))
-        };
-        match result {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                self.out.clear();
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-            }
-            Err(payload) => {
-                // A panicking flush is never retried (there is no element
-                // to redeliver); the failure is recorded and the close
-                // proceeds so downstream still gets its EOS.
-                self.out.clear();
-                self.record_unretryable_panic(i, panic_message(payload.as_ref()));
-            }
-        }
+        // Last port closed: flush, deliver, forward EOS, close. A
+        // panicking flush is recorded and the close proceeds, so downstream
+        // still gets its EOS.
+        self.guarded_hook(i, |op, out| op.flush(out));
         // A panicking flush may have already closed the slot (and
         // forwarded EOS) via `close_slot`; `out` was cleared then.
         if self.slots[i].closed {
@@ -773,26 +717,9 @@ impl DomainExecutor {
         let Some(combined) = self.slots[i].wm.observe(port, ts) else {
             return;
         };
-        let result = {
-            let slot = &mut self.slots[i];
-            let out = &mut self.out;
-            catch_unwind(AssertUnwindSafe(|| slot.op.on_watermark(port, combined, out)))
-        };
-        match result {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                self.out.clear();
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
-            }
-            Err(payload) => {
-                // Watermark handlers are not retried; the watermark still
-                // propagates so downstream state keeps expiring.
-                self.out.clear();
-                self.record_unretryable_panic(i, panic_message(payload.as_ref()));
-            }
-        }
+        // A panicking handler is recorded; the watermark still propagates
+        // so downstream state keeps expiring.
+        self.guarded_hook(i, |op, out| op.on_watermark(port, combined, out));
         // Same ordering as `process_eos`: anything the watermark handler
         // emitted reaches successors before the watermark itself.
         if self.slots[i].closed {
@@ -804,25 +731,58 @@ impl DomainExecutor {
         self.forward_punct_queues(i, Punctuation::Watermark(combined));
     }
 
-    /// Books a panic that has no retry path (flush / watermark handlers):
-    /// it still counts toward the supervisor's quarantine window, and
-    /// under `FailQuery` (or without a supervisor) it fails the query.
-    fn record_unretryable_panic(&mut self, i: usize, msg: String) {
+    /// Runs one of slot `i`'s non-retryable hooks (`on_eos`, `flush`,
+    /// `on_watermark`) behind the isolation boundary. There is no element
+    /// to redeliver, so nothing is retried: an error is kept (if first)
+    /// and a panic is booked with the supervisor; either way the hook's
+    /// pending outputs are discarded.
+    fn guarded_hook(
+        &mut self,
+        i: usize,
+        hook: impl FnOnce(&mut dyn Operator, &mut Output) -> Result<(), StreamError>,
+    ) {
+        let result = {
+            let slot = &mut self.slots[i];
+            let out = &mut self.out;
+            catch_unwind(AssertUnwindSafe(|| hook(slot.op.as_mut(), out)))
+        };
+        match result {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                self.out.clear();
+                self.set_error(e);
+            }
+            Err(payload) => {
+                self.out.clear();
+                self.book_panic(i, panic_message(payload.as_ref()));
+            }
+        }
+    }
+
+    /// Books a panic caught in slot `i` with the supervisor. A restart
+    /// verdict returns its backoff (only the element path can retry; for
+    /// the hooks the panic still counts toward the quarantine window).
+    /// Quarantine fails the query with an error, `FailQuery` (or no
+    /// supervisor) records the panic for
+    /// [`take_panics`](DomainExecutor::take_panics); both close the slot.
+    fn book_panic(&mut self, i: usize, msg: String) -> Option<Duration> {
         let operator = self.slots[i].op.name().to_string();
         match self.supervisor.as_ref().map(|s| s.on_panic(&operator, &msg)) {
-            Some(Verdict::Restart { .. }) => {}
-            Some(Verdict::Quarantine { failures }) => {
-                if self.error.is_none() {
-                    self.error = Some(StreamError::Other(format!(
-                        "operator '{operator}' quarantined after {failures} failures: {msg}"
-                    )));
-                }
-                self.close_slot(i);
-            }
-            Some(Verdict::Fail) | None => {
-                self.panics.push((operator, msg));
-                self.close_slot(i);
-            }
+            Some(Verdict::Restart { backoff, .. }) => return Some(backoff),
+            Some(Verdict::Quarantine { failures }) => self.set_error(StreamError::Other(format!(
+                "operator '{operator}' quarantined after {failures} failures: {msg}"
+            ))),
+            Some(Verdict::Fail) | None => self.panics.push((operator, msg)),
+        }
+        self.close_slot(i);
+        None
+    }
+
+    /// Keeps `e` as the executor's error unless an earlier one is set
+    /// (elements causing later errors are dropped silently).
+    fn set_error(&mut self, e: StreamError) {
+        if self.error.is_none() {
+            self.error = Some(e);
         }
     }
 
@@ -1028,11 +988,8 @@ impl DomainExecutor {
     }
 
     /// Tears the executor down into per-operator resume state.
-    pub fn into_slot_states(self) -> Vec<SlotState> {
-        self.slots
-            .into_iter()
-            .map(|s| SlotState { node: s.node, op: s.op, eos: s.eos, wm: s.wm, closed: s.closed })
-            .collect()
+    pub fn into_slot_states(mut self) -> Vec<SlotState> {
+        self.extract()
     }
 }
 
@@ -1045,7 +1002,6 @@ mod tests {
     use hmts_operators::sink::CollectingSink;
     use hmts_streams::time::Timestamp;
     use hmts_streams::tuple::Tuple;
-    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -1520,7 +1476,7 @@ mod tests {
 
     #[test]
     fn stats_are_recorded_when_enabled() {
-        let stats: SharedNodeStats = Arc::new(Mutex::new(crate::stats::NodeStats::default()));
+        let stats = crate::stats::shared_node_stats();
         let mut init = slot(1, Box::new(Filter::new("f", Expr::field(0).lt(Expr::int(5)))), vec![]);
         init.stats = Some(Arc::clone(&stats));
         let mut exec = DomainExecutor::new(
@@ -1533,10 +1489,10 @@ mod tests {
         for i in 0..10 {
             exec.inject(NodeId(1), 0, data(i, i as u64 * 1000));
         }
-        let s = stats.lock();
+        let s = stats.read();
         assert_eq!(s.processed, 10);
-        assert_eq!(s.selectivity.selectivity(), Some(0.5));
-        assert!(s.cost.cost().is_some());
+        assert_eq!(s.selectivity, Some(0.5));
+        assert!(s.cost.is_some());
     }
 
     /// Runs 1000 elements through a 20 µs busy filter passing half of them.
@@ -1569,11 +1525,10 @@ mod tests {
         let mut costs = Vec::new();
         for _ in 0..5 {
             let stats = run_costed_filter(None);
-            let s = stats.lock();
+            let s = stats.read();
             assert_eq!(s.processed, 1000);
-            assert_eq!(s.selectivity.selectivity(), Some(0.5));
-            assert_eq!(s.cost.samples(), 1000 / COST_SAMPLE_EVERY + 1);
-            let cost = s.cost.cost().expect("invocation 0 is timed");
+            assert_eq!(s.selectivity, Some(0.5));
+            let cost = s.cost.expect("invocation 0 is timed");
             assert!(cost >= Duration::from_micros(10), "cost {cost:?}");
             costs.push(cost);
             if cost <= Duration::from_micros(30) {
@@ -1585,6 +1540,48 @@ mod tests {
         let h = Histogram::detached();
         let stats = run_costed_filter(Some(h.clone()));
         assert_eq!(h.count(), 1000);
-        assert_eq!(stats.lock().processed, 1000);
+        assert_eq!(stats.read().processed, 1000);
+    }
+
+    /// Instant on every invocation except the `COST_SAMPLE_EVERY`-th ones
+    /// after the first, which busy-wait 200 µs.
+    struct SlowWhenSampled(u64);
+    impl Operator for SlowWhenSampled {
+        fn name(&self) -> &str {
+            "slow_when_sampled"
+        }
+        fn process(&mut self, _: usize, el: &Element, out: &mut Output) -> Result<(), StreamError> {
+            let k = self.0;
+            self.0 += 1;
+            if k > 0 && k % COST_SAMPLE_EVERY == 0 {
+                let t = Instant::now();
+                while t.elapsed() < Duration::from_micros(200) {}
+            }
+            out.push(el.clone());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn cost_timing_samples_every_nth_invocation() {
+        // Exactly the slow invocations (and the instant first one) are
+        // timed, so the cost average climbs to ~200 µs. Timing every
+        // invocation would decay it toward zero over the fast ones after
+        // the last slow one; timing only the first would leave it at ~0.
+        let stats = crate::stats::shared_node_stats();
+        let mut init = slot(1, Box::new(SlowWhenSampled(0)), vec![]);
+        init.stats = Some(Arc::clone(&stats));
+        let mut exec = DomainExecutor::new(
+            "d",
+            vec![init],
+            vec![],
+            StrategyKind::Fifo.build(None),
+            ExecConfig::default(),
+        );
+        for i in 0..(COST_SAMPLE_EVERY * 40 + 8) {
+            exec.inject(NodeId(1), 0, data(i as i64, i * 1000));
+        }
+        let cost = stats.read().cost.expect("invocation 0 is timed");
+        assert!(cost >= Duration::from_micros(150), "cost {cost:?}");
     }
 }

@@ -48,7 +48,7 @@ use crate::engine::source_driver::{
 use crate::engine::sync::{Notifier, PauseGate, StopFlag};
 use crate::plan::{DomainExecution, ExecutionPlan, PlanError};
 use crate::scheduler::thread_scheduler::{ThreadScheduler, TsConfig, TsShared};
-use crate::stats::{NodeStats, SharedNodeStats, StatsSnapshot};
+use crate::stats::{shared_node_stats, SharedNodeStats, StatsSnapshot};
 use crate::supervisor::{panic_message, Heartbeat, SupervisionConfig, Supervisor};
 
 /// Bounding policy for the engine's decoupling queues.
@@ -331,7 +331,7 @@ impl Engine {
             }
         }
         let clock = cfg.clock.clone().unwrap_or_else(|| Arc::new(SystemClock::new()));
-        let stats = (0..n).map(|_| Arc::new(Mutex::new(NodeStats::default()))).collect();
+        let stats = (0..n).map(|_| shared_node_stats()).collect();
         let source_shared =
             topo.sources().into_iter().map(|id| SourceShared::new(id, topo.name(id))).collect();
         let supervisor = cfg.supervision.as_ref().map(|s| {
@@ -1041,20 +1041,20 @@ impl Engine {
             }
             obs.add_collector(move || {
                 for (stats, cost, sel, rate, processed) in &nodes {
-                    let s = stats.lock();
-                    if let Some(c) = s.cost.cost() {
+                    let s = stats.read();
+                    if let Some(c) = s.cost {
                         cost.set(c.as_nanos().min(i64::MAX as u128) as i64);
                     }
-                    if let Some(x) = s.selectivity.selectivity() {
+                    if let Some(x) = s.selectivity {
                         sel.set((x * 1e6) as i64);
                     }
-                    if let Some(r) = s.arrivals.rate() {
+                    if let Some(r) = s.rate {
                         rate.set(r as i64);
                     }
                     processed.set(s.processed as i64);
                 }
                 for (stats, rate) in &sources {
-                    if let Some(r) = stats.lock().arrivals.rate() {
+                    if let Some(r) = stats.read().rate {
                         rate.set(r as i64);
                     }
                 }
@@ -1113,10 +1113,10 @@ impl Engine {
         self.cfg.obs.set_graph_model(move || {
             let mut nodes = shape.clone();
             for (node, (stats, queues)) in nodes.iter_mut().zip(&cells) {
-                let s = stats.lock();
-                node.cost_ns = s.cost.cost().map(|c| c.as_nanos() as f64);
-                node.selectivity = s.selectivity.selectivity();
-                node.rate = s.arrivals.rate();
+                let s = stats.read();
+                node.cost_ns = s.cost.map(|c| c.as_nanos() as f64);
+                node.selectivity = s.selectivity;
+                node.rate = s.rate;
                 node.queue_depth = (!queues.is_empty())
                     .then(|| queues.iter().filter_map(Weak::upgrade).map(|q| q.len() as f64).sum());
             }

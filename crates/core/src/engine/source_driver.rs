@@ -242,7 +242,7 @@ pub fn spawn_source(
                     }
                 }
                 if let Some(s) = &stats {
-                    s.lock().observe(due, None, 1);
+                    s.observe(due, None, 1);
                 }
                 // A tag that arrived with the element (wire-carried, v2
                 // frames) wins: the tuple's trace began in another process
@@ -519,7 +519,7 @@ mod tests {
     fn stats_record_offered_rate() {
         let shared = SourceShared::new(NodeId(0), "s");
         shared.set_targets(vec![]);
-        let stats: SharedNodeStats = Arc::new(Mutex::new(crate::stats::NodeStats::default()));
+        let stats = crate::stats::shared_node_stats();
         let gate = Arc::new(PauseGate::new());
         let stop = Arc::new(StopFlag::new());
         let h = spawn_source(
@@ -532,9 +532,9 @@ mod tests {
             SourceDriverConfig { pace: false, sample_every: 10, ..SourceDriverConfig::default() },
         );
         h.join().unwrap();
-        let s = stats.lock();
+        let s = stats.read();
         assert_eq!(s.processed, 100);
-        let rate = s.arrivals.rate().unwrap();
+        let rate = s.rate.unwrap();
         assert!((rate - 1_000_000.0).abs() < 100_000.0, "rate={rate}");
     }
 

@@ -177,11 +177,6 @@ impl QueryGraph {
         &self.nodes[id.0]
     }
 
-    /// Mutable access to a node (used by the engine to take operators out).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0]
-    }
-
     /// Edges leaving `id`.
     pub fn out_edges(&self, id: NodeId) -> impl Iterator<Item = &Edge> {
         self.edges.iter().filter(move |e| e.from == id)

@@ -8,8 +8,7 @@
 //! * timestamped [`element::Element`]s and in-band [`element::Punctuation`]s,
 //! * [`time::Clock`] abstractions for real and virtual time,
 //! * inter-partition [`queue::StreamQueue`]s with metrics and backpressure,
-//! * online estimators for cost `c(v)`, inter-arrival `d(v)`, and
-//!   selectivity in [`metrics`].
+//! * the experiment harness's [`metrics::TimeSeries`] recorder.
 
 #![warn(missing_docs)]
 
